@@ -75,6 +75,24 @@ struct BinCase
     uint64_t lhs, rhs, expect;
 };
 
+/**
+ * "udiv_42_5": the case's test-name suffix, which is also how gtest
+ * prints it. gtest's default printer would dump the struct's raw
+ * bytes, padding included, into the test listing.
+ */
+std::string
+caseName(const BinCase &c)
+{
+    return std::string(binOpName(c.op)) + "_" + std::to_string(c.lhs) +
+           "_" + std::to_string(c.rhs);
+}
+
+void
+PrintTo(const BinCase &c, std::ostream *os)
+{
+    *os << caseName(c);
+}
+
 class VmBinOp : public ::testing::TestWithParam<BinCase>
 {};
 
@@ -99,13 +117,28 @@ INSTANTIATE_TEST_SUITE_P(
         BinCase{BinOp::Shl, 1, 63, 1ULL << 63},
         BinCase{BinOp::Shl, 3, 2, 12},
         BinCase{BinOp::LShr, 1ULL << 63, 63, 1},
-        BinCase{BinOp::LShr, 12, 2, 3}));
+        BinCase{BinOp::LShr, 12, 2, 3}),
+    [](const auto &info) { return caseName(info.param); });
 
 struct CmpCase
 {
     CmpPred pred;
     uint64_t lhs, rhs, expect;
 };
+
+/** "ult_3_4", as for BinCase. */
+std::string
+caseName(const CmpCase &c)
+{
+    return std::string(cmpPredName(c.pred)) + "_" +
+           std::to_string(c.lhs) + "_" + std::to_string(c.rhs);
+}
+
+void
+PrintTo(const CmpCase &c, std::ostream *os)
+{
+    *os << caseName(c);
+}
 
 class VmCmp : public ::testing::TestWithParam<CmpCase>
 {};
@@ -129,7 +162,8 @@ INSTANTIATE_TEST_SUITE_P(
         CmpCase{CmpPred::Slt, (uint64_t)-1, 4, 1}, // signed!
         CmpCase{CmpPred::Sle, (uint64_t)-3, (uint64_t)-3, 1},
         CmpCase{CmpPred::Sgt, 4, (uint64_t)-1, 1},
-        CmpCase{CmpPred::Sge, (uint64_t)-5, (uint64_t)-4, 0}));
+        CmpCase{CmpPred::Sge, (uint64_t)-5, (uint64_t)-4, 0}),
+    [](const auto &info) { return caseName(info.param); });
 
 TEST(Vm, DivisionByZeroIsFatal)
 {

@@ -38,6 +38,24 @@ struct MixCase
     double expected; ///< proportion
 };
 
+/**
+ * "A_READ": the case's test-name suffix, which is also how gtest
+ * prints it. gtest's default printer would dump the struct's raw
+ * bytes, padding included, into the test listing.
+ */
+std::string
+caseName(const MixCase &c)
+{
+    return std::string(workloadName(c.workload)) + "_" +
+           opTypeName(c.type);
+}
+
+void
+PrintTo(const MixCase &c, std::ostream *os)
+{
+    *os << caseName(c);
+}
+
 class YcsbMix : public ::testing::TestWithParam<MixCase>
 {};
 
@@ -65,7 +83,8 @@ INSTANTIATE_TEST_SUITE_P(
         MixCase{Workload::E, OpType::Scan, 0.95},
         MixCase{Workload::E, OpType::Insert, 0.05},
         MixCase{Workload::F, OpType::Read, 0.5},
-        MixCase{Workload::F, OpType::ReadModifyWrite, 0.5}));
+        MixCase{Workload::F, OpType::ReadModifyWrite, 0.5}),
+    [](const auto &info) { return caseName(info.param); });
 
 TEST(Ycsb, LoadInsertsDenseSequentialKeys)
 {

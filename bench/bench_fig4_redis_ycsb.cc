@@ -21,9 +21,7 @@
 
 #include "apps/kv_driver.hh"
 #include "bench_util.hh"
-#include "shard/shard.hh"
 #include "support/stats.hh"
-#include "ycsb/concurrent.hh"
 
 namespace
 {
@@ -157,8 +155,8 @@ main(int argc, char **argv)
     std::printf("optimizer: %s\n", variants.optStats.str().c_str());
 
     // The hot-path construction is shared with bench_flush_opt and
-    // bench_vm_dispatch (bench::runKvHotPath), so all three — and
-    // the sharded leg below — measure the same op stream.
+    // bench_vm_dispatch (bench::runKvHotPath), so all three measure
+    // the same op stream.
     auto naive = bench::runKvHotPath(variants.hippoFull.get(),
                                      ycsb::Workload::A, records, ops,
                                      424243, 424247,
@@ -186,46 +184,6 @@ main(int argc, char **argv)
                 (unsigned long long)optd.fences, optd.throughput());
     std::printf("flushes executed cut by %.1f%%; throughput %.2fx\n",
                 flush_cut, speedup);
-
-    // Sharded leg: the same Load + A stream through the shard
-    // router and N private (pool, VM, log) workers. The aggregate
-    // op/step counters are shard-count invariant (whole-bucket
-    // routing), so they are baseline-comparable even though the
-    // shard count is a knob outside smoke mode.
-    bench::banner("Sharded pmkv (front-end router, per-shard "
-                  "pools/VMs/logs)");
-    {
-        unsigned shard_count =
-            opt.smoke ? 4 : (opt.shards ? opt.shards : 4);
-        shard::ShardConfig scfg;
-        scfg.shards = shard_count;
-        scfg.jobs = opt.smoke ? 1 : opt.jobs;
-        scfg.kv.variant = apps::PmkvVariant::Manual;
-        auto sm = apps::buildPmkv(scfg.kv);
-        shard::ShardedKv kv(sm.get(), scfg);
-        kv.init();
-        auto load_ops = ycsb::buildLoadOps(records, shard_count);
-        ycsb::ConcurrentSpec cspec;
-        cspec.workload = ycsb::Workload::A;
-        cspec.recordCount = records;
-        cspec.opCount = ops;
-        cspec.clients = shard_count;
-        cspec.seed = 424247;
-        auto run_ops = ycsb::buildConcurrentOps(cspec);
-        auto ls = kv.run(load_ops.ops);
-        auto rs = kv.run(run_ops.ops);
-        std::printf("shards=%u jobs=%u: %llu ops (%llu sub-ops), "
-                    "%llu op steps, %.0f ops/sec simulated "
-                    "(makespan), %.4fs wall\n",
-                    shard_count, scfg.jobs,
-                    (unsigned long long)(ls.ops + rs.ops),
-                    (unsigned long long)(ls.subOps + rs.subOps),
-                    (unsigned long long)(ls.opSteps + rs.opSteps),
-                    rs.throughput(),
-                    ls.wallSeconds + rs.wallSeconds);
-        kv.exportMetrics(support::MetricsRegistry::global(),
-                         "fig4.shard");
-    }
 
     auto &reg = support::MetricsRegistry::global();
     variants.fullSummary.exportMetrics(reg, "fig4.fixer_full");

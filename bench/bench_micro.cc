@@ -319,9 +319,9 @@ BENCHMARK(BM_ThreadPool_ParallelForEach)->Arg(8)->Arg(64);
 
 /**
  * ThreadPool dispatch cost, batch path: submitAll publishes a whole
- * task vector under one lock with one notify_all — the sharded-kv
- * drain dispatch (src/shard). The tasks themselves are near-empty,
- * so this measures handoff overhead, not work.
+ * task vector under one lock with one notify_all. The tasks
+ * themselves are near-empty, so this measures handoff overhead, not
+ * work.
  */
 void
 BM_ThreadPool_SubmitAll(benchmark::State &state)

@@ -97,40 +97,22 @@ struct BenchOptions
 {
     bool smoke = false;     ///< fixed reduced workload
     std::string statsPath;  ///< --stats: write metrics JSON here
-    unsigned shards = 0;    ///< --shards: sharded-leg override (0 = default)
-    unsigned jobs = 0;      ///< --jobs: sharded-leg workers (0 = default)
 };
 
-/** Parse --smoke / --stats FILE / --shards N / --jobs N; exits 2 on
- *  anything else. */
+/** Parse --smoke / --stats FILE; exits 2 on anything else. */
 inline BenchOptions
 parseBenchOptions(int argc, char **argv)
 {
     BenchOptions opt;
-    auto parse_count = [&](const char *flag, const char *text,
-                           unsigned &out) {
-        uint64_t v;
-        if (!hippo::parseUint(text, v) || !v || v > 1u << 16) {
-            std::fprintf(stderr, "%s: bad %s value '%s'\n", argv[0],
-                         flag, text);
-            std::exit(2);
-        }
-        out = (unsigned)v;
-    };
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
         if (arg == "--smoke") {
             opt.smoke = true;
         } else if (arg == "--stats" && i + 1 < argc) {
             opt.statsPath = argv[++i];
-        } else if (arg == "--shards" && i + 1 < argc) {
-            parse_count("--shards", argv[++i], opt.shards);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            parse_count("--jobs", argv[++i], opt.jobs);
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--smoke] [--stats OUT.json] "
-                         "[--shards N] [--jobs N]\n",
+                         "usage: %s [--smoke] [--stats OUT.json]\n",
                          argv[0]);
             std::exit(2);
         }
@@ -183,9 +165,9 @@ banner(const std::string &title)
  * Counters from one pmkv YCSB hot-path run: fresh pool, @kv_init,
  * Load of @p records records, then @p ops operations of workload
  * @p w. This is THE shared workload construction for the KV legs of
- * bench_fig4_redis_ycsb, bench_flush_opt, bench_vm_dispatch, and
- * the sharded legs — one definition, so every bench measures the
- * same op stream for a given (records, ops, seeds).
+ * bench_fig4_redis_ycsb, bench_flush_opt and bench_vm_dispatch — one
+ * definition, so every bench measures the same op stream for a given
+ * (records, ops, seeds).
  */
 struct KvHotPathCounts
 {

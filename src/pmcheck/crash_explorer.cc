@@ -373,8 +373,8 @@ raceFaultSeed(const CrashExplorerConfig &cfg, uint64_t k, uint64_t r)
  * race, and recover every fork through the same deterministic
  * degradation ladder as the single-schedule path. Outcomes merge
  * plan-major (plan 0 durpoints, plan 0 races, plan 1 races, ...), so
- * the result is byte-identical at every jobs setting, on both VM
- * engines, and per shard.
+ * the result is byte-identical at every jobs setting and on both VM
+ * engines.
  */
 ExplorationResult
 exploreInterleavings(ir::Module *m, const CrashExplorerConfig &cfg)

@@ -181,10 +181,10 @@ struct CrashExplorerConfig
      * publication image. Durpoint crashes are explored under the
      * baseline (empty) plan only. The plan set, the race forks, and
      * the outcome order are pure functions of this config, so the
-     * result is byte-identical across `jobs`, both VM engines, and
-     * shard counts. A plan whose entry run the watchdog cuts short
-     * degrades to a single unverified outcome (never a crash),
-     * counted in `explorer.sched.degraded`.
+     * result is byte-identical across `jobs` and both VM engines. A
+     * plan whose entry run the watchdog cuts short degrades to a
+     * single unverified outcome (never a crash), counted in
+     * `explorer.sched.degraded`.
      */
     /// @{
     uint64_t schedules = 64;      ///< schedule-plan budget (>= 1)

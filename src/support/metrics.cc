@@ -118,12 +118,16 @@ Histogram::percentile(double q) const
     if (target < 1)
         target = 1;
     uint64_t seen = 0;
-    for (int i = 0; i < numBuckets; i++) {
+    int i = 0;
+    for (; i < numBuckets - 1; i++) {
         seen += buckets_[i].load(std::memory_order_relaxed);
         if (seen >= target)
-            return i == 0 ? 1.0 : std::ldexp(1.0, i);
+            break;
     }
-    return std::ldexp(1.0, numBuckets - 1);
+    // A bucket bound can lie outside what was observed (all 0s land
+    // in bucket 0, bound 1); a percentile never leaves [min, max].
+    double bound = i == 0 ? 1.0 : std::ldexp(1.0, i);
+    return std::min(std::max(bound, min()), max());
 }
 
 json::Value

@@ -265,13 +265,13 @@ class Histogram : public Metric
     /**
      * Quantile estimate with fixed log-bucket resolution: the upper
      * bound of the bucket holding the ceil(q*count)-th observation
-     * (bucket 0 -> 1.0, bucket i -> 2^i). Because the bounds are
-     * fixed and the rank is computed from order-independent bucket
-     * counts, the result is a deterministic, baseline-comparable
-     * value — not a wall-clock measurement — so p50/p95/p99 of the
-     * simulated per-op latency distribution can be gated by
-     * bench_check like any counter. Returns 0 on an empty histogram;
-     * @p q is clamped to [0, 1].
+     * (bucket 0 -> 1.0, bucket i -> 2^i), clamped to the observed
+     * [min, max]. Because the bounds are fixed and the rank is
+     * computed from order-independent bucket counts, the result is a
+     * deterministic, baseline-comparable value — not a wall-clock
+     * measurement — so bench_check gates p50/p95/p99 like any
+     * counter. Returns 0 on an empty histogram; @p q is clamped to
+     * [0, 1].
      */
     double percentile(double q) const;
 
@@ -370,6 +370,10 @@ class MetricsRegistry
  * cut recovery attempts no longer feed explorer.recovery.steps (they
  * are retried under a deterministic step cap instead) — v4 baselines
  * predate those leaves and were regenerated.
+ *
+ * Within v5, the sharded-execution families were removed and
+ * histogram percentiles clamped to the observed [min, max]. No
+ * remaining leaf changed its meaning, so the version stayed.
  */
 constexpr int statsSchemaVersion = 5;
 

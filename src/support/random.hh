@@ -18,10 +18,10 @@ namespace hippo
 /**
  * Derive the seed for sub-stream @p stream of a master @p seed with
  * one splitmix64 step: deterministic, platform-independent, and far
- * apart for adjacent streams. This is how every fan-out in the repo
- * (per-client YCSB streams, per-crash-point fault plans, per-shard
- * RNGs) turns one user-facing seed into independent per-worker
- * seeds, so results never depend on which thread runs which stream.
+ * apart for adjacent streams. This is how a fan-out turns one
+ * user-facing seed into independent per-stream seeds (perfbench
+ * derives each workload's inputs from its --seed this way), so
+ * results never depend on which thread runs which stream.
  */
 uint64_t deriveSeed(uint64_t seed, uint64_t stream);
 

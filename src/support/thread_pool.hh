@@ -103,9 +103,8 @@ class ThreadPool
      * Semantically equivalent to enqueueing each task individually,
      * but the whole vector is published as ONE batch: a single lock
      * acquisition and a single notify_all, instead of one of each per
-     * task. This is the hot-path entry point for the shard router,
-     * which dispatches one drain closure per shard every round —
-     * see BM_ThreadPool_SubmitAll in bench_micro for the delta.
+     * task. See BM_ThreadPool_SubmitAll in bench_micro for the
+     * delta.
      *
      * Exception and cancellation semantics match parallelForEach.
      */

@@ -110,10 +110,19 @@ TEST(Metrics, PercentilesOnLogBucketBounds)
     EXPECT_DOUBLE_EQ(h.percentile(2.0), 4.0);
 
     // A far observation: 100 lands in bucket 7 (bound 128) and
-    // shifts the median rank (3rd of 5) into bucket 2 (bound 4).
+    // shifts the median rank (3rd of 5) into bucket 2 (bound 4). The
+    // tail never reports more than the observed max.
     h.observe(100.0);
     EXPECT_DOUBLE_EQ(h.percentile(0.50), 4.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 128.0);
+    EXPECT_DOUBLE_EQ(h.percentile(0.99), 100.0);
+
+    // All-zero observations land in bucket 0 (bound 1) but never
+    // report more than the observed 0.
+    auto &zeros = reg.histogram("zeros");
+    for (int i = 0; i < 3; i++)
+        zeros.observe(0.0);
+    EXPECT_DOUBLE_EQ(zeros.percentile(0.50), 0.0);
+    EXPECT_DOUBLE_EQ(zeros.percentile(0.99), 0.0);
 }
 
 TEST(Metrics, PercentilesExportedAsComparableLeaves)
@@ -292,7 +301,8 @@ TEST(Metrics, DeterministicSnapshotSkipsTimersAndGauges)
     EXPECT_DOUBLE_EQ(snap["s"], 1.5);
     EXPECT_DOUBLE_EQ(snap["h.count"], 1);
     EXPECT_DOUBLE_EQ(snap["h.sum"], 3);
-    EXPECT_DOUBLE_EQ(snap["h.p50"], 4);
+    // Bucket bound 4, clamped to the one observation.
+    EXPECT_DOUBLE_EQ(snap["h.p50"], 3);
     EXPECT_FALSE(snap.count("t"));
     EXPECT_FALSE(snap.count("g"));
 }

@@ -6,8 +6,8 @@
  * explorer must find them at preemption bound 2, the fixer must
  * repair them with a CrossPublish fix, re-verification over the same
  * bounded schedule set must come back clean, and the whole
- * exploration must digest byte-identically across jobs settings, VM
- * engines, and shard counts. Schedule plans the watchdog cuts short
+ * exploration must digest byte-identically across jobs settings and
+ * VM engines. Schedule plans the watchdog cuts short
  * degrade to unverified outcomes — never a crash. Also the
  * wall-clock determinism contract: a `timeBudgetMs` verdict is
  * always replayed under the deterministic step cap, so recovery
@@ -24,7 +24,6 @@
 #include "ir/parser.hh"
 #include "pmcheck/crash_explorer.hh"
 #include "pmcheck/detector.hh"
-#include "shard/shard.hh"
 #include "support/metrics.hh"
 #include "test_util.hh"
 
@@ -228,7 +227,7 @@ TEST(Threads, DigestInvariantAcrossJobsEnginesAndShards)
 {
     // The acceptance gate: schedule set, CROSS forks, and recovery
     // digests byte-identical across jobs {1,4} x engine
-    // {Tree,Bytecode}, and shard-count invariant via exploreShards.
+    // {Tree,Bytecode}.
     ExplorationResult ref;
     bool have_ref = false;
     for (unsigned jobs : {1u, 4u}) {
@@ -249,18 +248,6 @@ TEST(Threads, DigestInvariantAcrossJobsEnginesAndShards)
                     << vm::vmEngineName(engine);
             }
         }
-    }
-
-    uint64_t merged_ref = 0;
-    for (unsigned shards : {1u, 4u}) {
-        auto m = buildRaceKv();
-        auto merged =
-            shard::exploreShards(m.get(), raceKvConfig(), shards);
-        EXPECT_TRUE(merged.consistent) << "shards=" << shards;
-        if (shards == 1)
-            merged_ref = merged.digest;
-        else
-            EXPECT_EQ(merged.digest, merged_ref);
     }
 }
 

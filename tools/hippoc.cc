@@ -30,10 +30,6 @@
  *                                         #   execution (sandboxed)
  *   hippoc prog.pmir --recovery rec       # recovery entry for --chaos
  *                                         #   (default: the entry)
- *   hippoc prog.pmir --chaos 1 --shards 4 # per-shard exploration:
- *                                         #   run the explorer once
- *                                         #   per shard, merge the
- *                                         #   recovery digests
  *   hippoc prog.pmir --engine bytecode    # interpreter engine for
  *                                         #   every execution
  *                                         #   (tree|bytecode|auto)
@@ -72,7 +68,6 @@
 #include "pmcheck/crash_explorer.hh"
 #include "pmcheck/detector.hh"
 #include "pmem/pm_pool.hh"
-#include "shard/shard.hh"
 #include "support/errors.hh"
 #include "support/metrics.hh"
 #include "support/strings.hh"
@@ -97,7 +92,7 @@ usage(const char *argv0)
         "          [--chaos SEED] [--torn-chance P]\n"
         "          [--step-budget N] [--time-budget MS]\n"
         "          [--recovery NAME] [--engine tree|bytecode|auto]\n"
-        "          [--shards N] [--schedules N] [--preempt-bound N]\n",
+        "          [--schedules N] [--preempt-bound N]\n",
         argv0);
     std::exit(2);
 }
@@ -123,7 +118,6 @@ struct Options
     bool cleanFlushes = false;
     bool optimize = false;  ///< --optimize: verified flush/fence opt
     bool chaos = false;     ///< --chaos: adversarial exploration
-    unsigned shards = 1;    ///< --shards: per-shard exploration
     uint64_t schedules = 64;   ///< --schedules (threaded modules)
     uint32_t preemptBound = 2; ///< --preempt-bound (threaded modules)
     std::string recovery;   ///< --recovery (default: the entry)
@@ -334,47 +328,30 @@ processModuleImpl(const std::string &input, const Options &opt,
         cc.vmEngine = opt.cfg.vmEngine;
         cc.schedules = opt.schedules;
         cc.preemptBound = opt.preemptBound;
-        if (opt.shards > 1) {
-            // Per-shard exploration (src/shard): the explorer runs
-            // once per shard against that shard's own fresh pool,
-            // and the merged digest must agree across shard counts.
-            auto merged =
-                shard::exploreShards(m.get(), cc, opt.shards);
-            metrics.counter("pipeline.chaos_runs").inc(opt.shards);
-            out += format("chaos: seed=%llu shards=%u "
-                          "consistent=%s unverified=%llu "
-                          "merged-digest=%016llx\n",
-                          (unsigned long long)opt.cfg.faults.seed,
-                          opt.shards,
-                          merged.consistent ? "yes" : "NO",
-                          (unsigned long long)merged.unverified,
-                          (unsigned long long)merged.digest);
-        } else {
-            auto res = pmcheck::exploreCrashes(m.get(), cc);
-            metrics.counter("pipeline.chaos_runs").inc();
-            out += format("chaos: seed=%llu torn-chance=%.3f "
-                          "crash-points=%zu unverified=%llu "
-                          "clean=%llu min=%llu max=%llu "
-                          "digest=%016llx\n",
-                          (unsigned long long)opt.cfg.faults.seed,
-                          opt.cfg.faults.tornChance,
-                          res.outcomes.size(),
-                          (unsigned long long)res.unverifiedCount(),
-                          (unsigned long long)res.cleanRunRecovered,
-                          (unsigned long long)res.minRecovered(),
-                          (unsigned long long)res.maxRecovered(),
-                          (unsigned long long)outcomeDigest(res));
-            if (res.schedulesExecuted)
-                out += format(
-                    "interleave: schedules=%llu/%llu degraded=%llu "
-                    "races=%llu race-crashes=%llu visible-ops=%llu\n",
-                    (unsigned long long)res.schedulesExecuted,
-                    (unsigned long long)res.schedulesPlanned,
-                    (unsigned long long)res.schedulesDegraded,
-                    (unsigned long long)res.racesObserved,
-                    (unsigned long long)res.raceCrashCount(),
-                    (unsigned long long)res.visibleOpsInRun);
-        }
+        auto res = pmcheck::exploreCrashes(m.get(), cc);
+        metrics.counter("pipeline.chaos_runs").inc();
+        out += format("chaos: seed=%llu torn-chance=%.3f "
+                      "crash-points=%zu unverified=%llu "
+                      "clean=%llu min=%llu max=%llu "
+                      "digest=%016llx\n",
+                      (unsigned long long)opt.cfg.faults.seed,
+                      opt.cfg.faults.tornChance,
+                      res.outcomes.size(),
+                      (unsigned long long)res.unverifiedCount(),
+                      (unsigned long long)res.cleanRunRecovered,
+                      (unsigned long long)res.minRecovered(),
+                      (unsigned long long)res.maxRecovered(),
+                      (unsigned long long)outcomeDigest(res));
+        if (res.schedulesExecuted)
+            out += format(
+                "interleave: schedules=%llu/%llu degraded=%llu "
+                "races=%llu race-crashes=%llu visible-ops=%llu\n",
+                (unsigned long long)res.schedulesExecuted,
+                (unsigned long long)res.schedulesPlanned,
+                (unsigned long long)res.schedulesDegraded,
+                (unsigned long long)res.racesObserved,
+                (unsigned long long)res.raceCrashCount(),
+                (unsigned long long)res.visibleOpsInRun);
     }
 
     if (!opt.output.empty()) {
@@ -462,17 +439,6 @@ main(int argc, char **argv)
                 (uint64_t)std::strtoull(argv[++i], nullptr, 10);
         } else if (arg == "--recovery" && i + 1 < argc) {
             opt.recovery = argv[++i];
-        } else if (arg == "--shards" && i + 1 < argc) {
-            opt.shards =
-                (unsigned)std::strtoul(argv[++i], nullptr, 10);
-            if (!opt.shards ||
-                (opt.shards & (opt.shards - 1)) != 0) {
-                std::fprintf(stderr,
-                             "hippoc: --shards must be a power of "
-                             "two >= 1 (got '%s')\n",
-                             argv[i]);
-                return 2;
-            }
         } else if (arg == "--schedules" && i + 1 < argc) {
             opt.schedules =
                 (uint64_t)std::strtoull(argv[++i], nullptr, 10);

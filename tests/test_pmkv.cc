@@ -3,12 +3,18 @@
  * Tests for the pmkv application and the Redis-variant factory
  * (§6.3): functional correctness, bug finding on the flush-free
  * build, repair, crash-recovery behavior, and the performance
- * ordering RedisH-full >= Redis-pm >> RedisH-intra.
+ * ordering RedisH-full >= Redis-pm >> RedisH-intra. The `Shard`
+ * suite keeps the names of checks that once ran on a sharded store
+ * and now run on the single store: both interpreters recover the
+ * same logical state, and crash exploration of the store repeats to
+ * one recovery digest.
  */
 
 #include <gtest/gtest.h>
 
 #include "apps/kv_driver.hh"
+#include "ir/builder.hh"
+#include "pmcheck/crash_explorer.hh"
 #include "test_util.hh"
 
 namespace hippo::test
@@ -31,6 +37,48 @@ smallConfig(PmkvVariant v = PmkvVariant::FlushFree)
     cfg.buckets = 256;
     cfg.logCapacity = 2u << 20;
     return cfg;
+}
+
+/**
+ * Run one fixed YCSB stream (Load, an A mix, an E slice) on a pmkv
+ * module under @p engine and return what a reader can observe of
+ * the store: the kv_recover count, kv_handle_get of every key the
+ * stream can reach, and the summed Scan hits.
+ */
+std::vector<uint64_t>
+observedState(ir::Module *m, vm::VmEngine engine)
+{
+    constexpr uint64_t records = 64;
+    constexpr uint64_t scan_ops = 12;
+    pmem::PmPool pool(32u << 20);
+    vm::VmConfig vc;
+    vc.engine = engine;
+    KvDriver driver(m, &pool, vc);
+    driver.init();
+    driver.run(ycsb::Workload::Load, records, records, 1233);
+    driver.run(ycsb::Workload::A, records, 64, 1234);
+    uint64_t scan_hits = 0;
+    ycsb::Generator scans(ycsb::Workload::E, records, scan_ops, 1235);
+    while (scans.hasNext()) {
+        ycsb::Op op = scans.next();
+        if (op.type != ycsb::OpType::Scan) {
+            driver.execute(op);
+            continue;
+        }
+        vm::RunResult res = driver.vm().run(
+            "kv_handle_scan", {op.key, op.scanLength});
+        EXPECT_TRUE(res.ok()) << res.diag;
+        scan_hits += res.returnValue;
+    }
+
+    std::vector<uint64_t> state;
+    state.push_back(driver.vm().run("kv_recover").returnValue);
+    // Every E insert lands past the loaded range, one key per op.
+    for (uint64_t key = 0; key < records + scan_ops; key++)
+        state.push_back(
+            driver.vm().run("kv_handle_get", {key}).returnValue);
+    state.push_back(scan_hits);
+    return state;
 }
 
 } // namespace
@@ -290,6 +338,61 @@ TEST(Pmkv, PerformanceOrderingMatchesFig4)
             << "workload " << ycsb::workloadName(w);
         EXPECT_GT(full, intra * 2.0)
             << "workload " << ycsb::workloadName(w);
+    }
+}
+
+TEST(Shard, EnginesAgreeOnTheRecoveredState)
+{
+    auto m = buildPmkv(smallConfig(PmkvVariant::Manual));
+    auto tree = observedState(m.get(), vm::VmEngine::Tree);
+    auto fast = observedState(m.get(), vm::VmEngine::Bytecode);
+    EXPECT_GT(tree.front(), 0u) << "kv_recover found no entries";
+    EXPECT_GT(tree.back(), 0u) << "no Scan found a key";
+    EXPECT_EQ(tree, fast)
+        << "interpreters disagree on the logical store";
+}
+
+TEST(Shard, ExploreShardsIsConsistentAndShardCountInvariant)
+{
+    auto m = buildPmkv(smallConfig(PmkvVariant::Manual));
+    // A small exercise entry touching the set path twice.
+    ir::Function *f = m->addFunction("kv_exercise", ir::Type::Int);
+    ir::BasicBlock *bb = f->addBlock("entry");
+    ir::IRBuilder b(m.get());
+    b.setInsertPoint(bb);
+    b.setLoc("test_pmkv.cc", 1);
+    auto call = [&](const char *name,
+                    std::vector<ir::Value *> args) {
+        return b.createCall(m->findFunction(name), std::move(args));
+    };
+    call("kv_init", {});
+    call("kv_handle_set", {b.getInt(3), b.getInt(24)});
+    call("kv_handle_set", {b.getInt(7), b.getInt(24)});
+    b.createRet(call("kv_recover", {}));
+
+    pmcheck::CrashExplorerConfig xc;
+    xc.entry = "kv_exercise";
+    xc.recovery = "kv_recover";
+    xc.maxCrashes = 1u << 20;
+    xc.poolBytes = 32u << 20;
+    xc.vmEngine = vm::VmEngine::Bytecode;
+    // Independent explorations of one config, serial and fanned
+    // out, must verify every crash point and agree on one digest.
+    uint64_t ref = 0;
+    bool have_ref = false;
+    for (unsigned jobs : {1u, 1u, 2u}) {
+        xc.jobs = jobs;
+        auto res = pmcheck::exploreCrashes(m.get(), xc);
+        EXPECT_FALSE(res.outcomes.empty());
+        EXPECT_EQ(res.unverifiedCount(), 0u) << "jobs=" << jobs;
+        uint64_t digest = pmcheck::recoveryDigest(res);
+        if (!have_ref) {
+            ref = digest;
+            have_ref = true;
+        } else {
+            EXPECT_EQ(digest, ref)
+                << "exploration digest drifts at jobs=" << jobs;
+        }
     }
 }
 

@@ -262,7 +262,7 @@ PmOpLog::replayTo(PmPool &pool, size_t end) const
 PmPool::PmPool(uint64_t capacity, double evict_chance, uint64_t seed)
     : capacity_((capacity + cacheLineSize - 1) & ~(cacheLineSize - 1)),
       cacheImage_(capacity_), persistImage_(capacity_),
-      dirtyPos_(capacity_ / cacheLineSize, dirtyNpos),
+      dirtyPos_(capacity_ / cacheLineSize),
       evictChance_(evict_chance), rng_(seed)
 {
     hippo_assert(capacity_ > 0, "empty pool");
@@ -271,21 +271,21 @@ PmPool::PmPool(uint64_t capacity, double evict_chance, uint64_t seed)
 PmPool::PmPool(const Snapshot &s)
     : capacity_(s.capacity), cacheImage_(s.cache),
       persistImage_(s.persist), dirtyLines_(s.dirtyLines),
-      dirtyPos_(s.capacity / cacheLineSize, dirtyNpos),
+      dirtyPos_(s.capacity / cacheLineSize),
       wbQueue_(s.wbQueue), regions_(s.regions),
       allocCursor_(s.allocCursor), evictChance_(s.evictChance),
       rng_(s.rng), stats_(s.stats)
 {
     hippo_assert(capacity_ > 0, "empty snapshot");
     for (uint32_t p = 0; p < dirtyLines_.size(); p++)
-        dirtyPos_[dirtyLines_[p]] = p;
+        dirtyPos_[dirtyLines_[p]] = p + 1;
 }
 
 void
 PmPool::markDirty(uint64_t line)
 {
-    dirtyPos_[line] = (uint32_t)dirtyLines_.size();
     dirtyLines_.push_back((uint32_t)line);
+    dirtyPos_[line] = (uint32_t)dirtyLines_.size();
 }
 
 void
@@ -293,17 +293,17 @@ PmPool::clearDirty(uint64_t line)
 {
     uint32_t pos = dirtyPos_[line];
     uint32_t last = dirtyLines_.back();
-    dirtyLines_[pos] = last;
+    dirtyLines_[pos - 1] = last;
     dirtyPos_[last] = pos;
     dirtyLines_.pop_back();
-    dirtyPos_[line] = dirtyNpos;
+    dirtyPos_[line] = 0;
 }
 
 void
 PmPool::clearAllDirty()
 {
     for (uint32_t line : dirtyLines_)
-        dirtyPos_[line] = dirtyNpos;
+        dirtyPos_[line] = 0;
     dirtyLines_.clear();
 }
 
@@ -313,7 +313,7 @@ PmPool::adoptDirty(const std::vector<uint32_t> &lines)
     clearAllDirty();
     dirtyLines_ = lines;
     for (uint32_t p = 0; p < dirtyLines_.size(); p++)
-        dirtyPos_[dirtyLines_[p]] = p;
+        dirtyPos_[dirtyLines_[p]] = p + 1;
 }
 
 uint64_t

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "support/random.hh"
+#include "support/zero_array.hh"
 
 namespace hippo::support
 {
@@ -435,8 +436,6 @@ class PmPool
     uint64_t capacity() const { return capacity_; }
 
   private:
-    static constexpr uint32_t dirtyNpos = ~0u;
-
     uint64_t lineIndex(uint64_t addr) const
     {
         return (addr - pmBaseAddr) / cacheLineSize;
@@ -444,7 +443,7 @@ class PmPool
 
     bool isDirty(uint64_t line) const
     {
-        return dirtyPos_[line] != dirtyNpos;
+        return dirtyPos_[line] != 0;
     }
     void markDirty(uint64_t line);
     void clearDirty(uint64_t line);
@@ -460,10 +459,12 @@ class PmPool
     CowImage persistImage_; ///< what survives a crash
 
     /** Dirty-line index: the unordered line list plus each line's
-     *  position in it (dirtyNpos = clean), for O(1) membership,
-     *  count, insert, and swap-removal. */
+     *  position in it + 1 (0 = clean), for O(1) membership, count,
+     *  insert, and swap-removal. Clean reads as 0 so the position
+     *  array can be a lazily zero-filled mapping: building or forking
+     *  a pool touches only the entries of dirty lines. */
     std::vector<uint32_t> dirtyLines_;
-    std::vector<uint32_t> dirtyPos_;
+    support::ZeroArray<uint32_t> dirtyPos_;
 
     WbQueue wbQueue_;
 

@@ -129,7 +129,7 @@ struct Vm::SchedState
 
 Vm::Vm(ir::Module *module, pmem::PmPool *pool, VmConfig cfg)
     : module_(module), pool_(pool), cfg_(cfg),
-      volatileMem_(cfg.volatileBytes, 0),
+      volatileMem_(cfg.volatileBytes),
       volatileLimit_(cfg.volatileBytes)
 {}
 

@@ -21,6 +21,7 @@
 
 #include "ir/module.hh"
 #include "pmem/pm_pool.hh"
+#include "support/zero_array.hh"
 #include "trace/trace.hh"
 
 namespace hippo::support
@@ -480,7 +481,9 @@ class Vm
     pmem::PmPool *pool_;
     VmConfig cfg_;
 
-    std::vector<uint8_t> volatileMem_;
+    /** The volatile arena; pages are zero-filled on first touch, so
+     *  a Vm costs O(pages used), not O(volatileBytes), to build. */
+    support::ZeroArray<uint8_t> volatileMem_;
     uint64_t volatileSp_ = 0; ///< bump allocator offset
     /** Current thread's arena slice [base, limit). The main thread
      *  owns [0, limit) with limit lowered as spawns carve slices

@@ -48,6 +48,14 @@ expect 2 "unknown flag" "$HIPPOC" --frobnicate x.pmir
 
 # 3 — input errors: missing file, then every bad-corpus file.
 expect 3 "missing file" "$HIPPOC" "$TMP/does_not_exist.pmir"
+expect 3 "entry takes parameters" \
+    "$HIPPOC" "$SRC/examples/counter.pmir" --entry bump
+expect 3 "recovery takes parameters" \
+    "$HIPPOC" "$SRC/examples/counter.pmir" --chaos 1 --recovery bump
+expect 3 "optimizer recovery takes parameters" \
+    "$HIPPOC" "$SRC/examples/counter.pmir" --optimize --recovery bump
+expect 3 "no optimizer recovery function" \
+    "$HIPPOC" "$SRC/examples/counter.pmir" --optimize --recovery nosuch
 for f in "$SRC"/tests/corpus/bad/*.pmir; do
     expect 3 "bad corpus: $(basename "$f")" "$HIPPOC" "$f"
 done

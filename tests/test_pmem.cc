@@ -194,6 +194,53 @@ TEST(PmPool, MultiLineStoreDirtiesEveryTouchedLine)
     EXPECT_TRUE(pool.isPersisted(a + 32, 200));
 }
 
+TEST(PmPool, ForkedPoolAnswersLikeItsOrigin)
+{
+    // A pool forked from a snapshot rebuilds its dirty-line index
+    // from the snapshot's dirty lines alone. It must then answer as
+    // the origin does, through a flush of a line in the middle of the
+    // index, a redundant flush and a fence.
+    PmPool origin(1 << 20);
+    uint64_t a = origin.mapRegion("r", 16 * 64);
+    for (uint64_t i = 0; i < 8; i++)
+        store64(origin, a + i * 64, 100 + i);
+    origin.flush(a + 2 * 64, FlushOp::Clflush); // persisted
+    origin.flush(a + 5 * 64, FlushOp::Clwb);    // pending a fence
+    ASSERT_EQ(origin.dirtyLineCount(), 6u);
+    PmPool fork(origin.snapshot());
+
+    auto expect_same = [&](const char *when) {
+        EXPECT_EQ(fork.dirtyLineCount(), origin.dirtyLineCount())
+            << when;
+        EXPECT_EQ(fork.stats().redundantFlushes,
+                  origin.stats().redundantFlushes)
+            << when;
+        for (uint64_t i = 0; i < 16; i++)
+            EXPECT_EQ(fork.isPersisted(a + i * 64, 64),
+                      origin.isPersisted(a + i * 64, 64))
+                << when << ", line " << i;
+    };
+    expect_same("after the fork");
+
+    for (PmPool *p : {&origin, &fork}) {
+        p->flush(a + 3 * 64, FlushOp::Clwb);  // dirty, mid-index
+        p->flush(a + 12 * 64, FlushOp::Clwb); // never written
+        p->fence();
+    }
+    EXPECT_EQ(origin.dirtyLineCount(), 5u);
+    EXPECT_TRUE(origin.isPersisted(a + 3 * 64, 64));
+    expect_same("after a flush and a fence");
+
+    for (PmPool *p : {&origin, &fork}) {
+        for (uint64_t i = 0; i < 16; i++)
+            p->flush(a + i * 64, FlushOp::Clwb);
+        p->fence();
+    }
+    EXPECT_EQ(origin.dirtyLineCount(), 0u);
+    EXPECT_TRUE(origin.isPersisted(a, 16 * 64));
+    expect_same("after flushing every line");
+}
+
 TEST(PmPool, CrashDiscardsCacheOnlyState)
 {
     PmPool pool(1 << 16);

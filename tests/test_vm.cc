@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "ir/builder.hh"
 #include "pmem/pm_pool.hh"
+#include "support/stopwatch.hh"
 #include "vm/vm.hh"
 
 namespace hippo::test
@@ -489,6 +493,71 @@ TEST(Vm, VolatileOutOfBoundsIsFatal)
     Vm machine(m.get(), &pool, {});
     EXPECT_EXIT(machine.run("f"), ::testing::ExitedWithCode(1),
                 "out of bounds");
+}
+
+TEST(Vm, UntouchedArenaReadsZeroUnderBothEngines)
+{
+    // The arena is zero-filled page by page on first touch. A load
+    // from an in-bounds address that no alloca ever covered must
+    // still read 0, in the middle of the arena and at its last word.
+    const uint64_t arena = VmConfig{}.volatileBytes;
+    auto m = std::make_unique<Module>("untouched");
+    IRBuilder b(m.get());
+    Function *f = m->addFunction("f", Type::Int);
+    b.setInsertPoint(f->addBlock("entry"));
+    Instruction *buf = b.createAlloca(8); // at the arena's base
+    Instruction *mid = b.createGep(buf, b.getInt(arena / 2));
+    Instruction *top = b.createGep(buf, b.getInt(arena - 8));
+    Instruction *mid_v = b.createLoad(mid, 8);
+    Instruction *top_v = b.createLoad(top, 8);
+    b.createStore(b.getInt(7), top, 8);
+    Instruction *top_after = b.createLoad(top, 8);
+    b.createRet(b.createAdd(b.createAdd(mid_v, top_v), top_after));
+
+    for (vm::VmEngine engine :
+         {vm::VmEngine::Tree, vm::VmEngine::Bytecode}) {
+        pmem::PmPool pool(1 << 16);
+        VmConfig cfg;
+        cfg.engine = engine;
+        Vm machine(m.get(), &pool, cfg);
+        auto res = machine.run("f");
+        EXPECT_TRUE(res.ok()) << vm::vmEngineName(engine);
+        EXPECT_EQ(res.returnValue, 7u) << vm::vmEngineName(engine);
+    }
+}
+
+TEST(Vm, ConstructionCostsPagesTouchedNotCapacity)
+{
+    // Crash exploration builds a fresh Vm and pool per replay, so
+    // building one must not write memory in proportion to capacity.
+    // Sixteen of each held at once reserve 16 x (16 MiB arena + 64
+    // MiB pool); eagerly filled, they would add about 320 MiB to the
+    // resident set.
+    auto m = std::make_unique<Module>("small");
+    IRBuilder b(m.get());
+    Function *f = m->addFunction("f", Type::Int);
+    b.setInsertPoint(f->addBlock("entry"));
+    Instruction *buf = b.createAlloca(64);
+    b.createStore(b.getInt(40), buf, 8);
+    Instruction *pm = b.createPmMap("r", 64);
+    b.createStore(b.createAdd(b.createLoad(buf, 8), b.getInt(2)), pm, 8);
+    b.createFlush(pm);
+    b.createFence();
+    b.createRet(b.createLoad(pm, 8));
+
+    uint64_t before = currentRssBytes();
+    ASSERT_GT(before, 0u) << "resident set size unreadable";
+    std::vector<std::unique_ptr<pmem::PmPool>> pools;
+    std::vector<std::unique_ptr<Vm>> machines;
+    for (int i = 0; i < 16; i++) {
+        pools.push_back(std::make_unique<pmem::PmPool>(64ULL << 20));
+        machines.push_back(
+            std::make_unique<Vm>(m.get(), pools.back().get()));
+        ASSERT_EQ(machines.back()->run("f").returnValue, 42u);
+    }
+    uint64_t after = currentRssBytes();
+    uint64_t grown = after > before ? after - before : 0;
+    EXPECT_LT(grown, 32ULL << 20) << "grew " << (grown >> 20) << " MiB";
 }
 
 } // namespace hippo::test

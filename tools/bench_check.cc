@@ -2,17 +2,18 @@
  * @file
  * bench_check — the CI regression gate over bench --stats documents.
  *
- *   bench_check <baseline.json> <fresh.json> [--tolerance F]
- *               [--check-timers]
+ *   bench_check <baseline.json> <fresh.json>
  *
  * Compares every *comparable* instrument (counters, sums,
  * histograms — the deterministic ones; see src/support/metrics.hh)
- * in the baseline against the fresh run and fails when the
- * symmetric relative deviation exceeds the tolerance (default 0.2,
- * the ">20% regression" gate) or when a baseline metric is missing
- * from the fresh run. Wall-clock timers and gauges are
- * host-dependent, so they are skipped unless --check-timers is
- * given (useful locally, too flaky for CI).
+ * in the baseline against the fresh run and fails when one differs
+ * or when a baseline metric is missing from the fresh run. Counter
+ * and histogram leaves must be equal; floating-point sums must agree
+ * within a relative 1e-9, which absorbs only floating-point rounding
+ * (summation order, printed digits). Any looser margin would let a
+ * deterministic figure (say, the share of flushes an optimization
+ * removes) regress unnoticed. Wall-clock timers and gauges are
+ * host-dependent and are never compared.
  *
  * Files with different schema_version values are never compared:
  * refresh the baseline instead (docs/FORMATS.md §5). Newly added
@@ -47,8 +48,7 @@ namespace
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s <baseline.json> <fresh.json> "
-                 "[--tolerance F] [--check-timers]\n",
+                 "usage: %s <baseline.json> <fresh.json>\n",
                  argv0);
     std::exit(2);
 }
@@ -81,11 +81,15 @@ loadStats(const std::string &path)
     return doc;
 }
 
+/** Relative deviation a floating-point sum may show. */
+constexpr double sumTolerance = 1e-9;
+
 /** One scalar to compare: "<path>" or "<path>.count" etc. */
 struct Leaf
 {
     std::string path;
     double value = 0;
+    double tolerance = 0; ///< allowed relative deviation
 };
 
 /** True when @p node is a serialized instrument (has a "kind"). */
@@ -103,7 +107,7 @@ isInstrument(const json::Value &node, std::string &kind)
 
 void
 collectLeaves(const json::Value &node, const std::string &path,
-              bool check_timers, std::vector<Leaf> &out)
+              std::vector<Leaf> &out)
 {
     std::string kind;
     if (isInstrument(node, kind)) {
@@ -111,8 +115,10 @@ collectLeaves(const json::Value &node, const std::string &path,
             const json::Value *v = node.find(member);
             return v && v->isNumber() ? v->number() : 0.0;
         };
-        if (kind == "counter" || kind == "sum") {
+        if (kind == "counter") {
             out.push_back({path, num("value")});
+        } else if (kind == "sum") {
+            out.push_back({path, num("value"), sumTolerance});
         } else if (kind == "hist") {
             out.push_back({path + ".count", num("count")});
             out.push_back({path + ".sum", num("sum")});
@@ -121,17 +127,15 @@ collectLeaves(const json::Value &node, const std::string &path,
             for (const char *p : {"p50", "p95", "p99"})
                 if (node.find(p))
                     out.push_back({path + "." + p, num(p)});
-        } else if (kind == "timer" && check_timers) {
-            out.push_back({path + ".total_ns", num("total_ns")});
         }
-        // gauges (and timers by default) are informational only
+        // timers and gauges are informational only
         return;
     }
     if (!node.isObject())
         return;
     for (const auto &[key, child] : node.object())
         collectLeaves(child, path.empty() ? key : path + "." + key,
-                      check_timers, out);
+                      out);
 }
 
 /** Symmetric relative deviation: 0 when both are 0. */
@@ -148,19 +152,11 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> files;
-    double tolerance = 0.2;
-    bool check_timers = false;
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
-        if (arg == "--tolerance" && i + 1 < argc) {
-            tolerance = std::atof(argv[++i]);
-        } else if (arg == "--check-timers") {
-            check_timers = true;
-        } else if (arg[0] == '-') {
+        if (arg[0] == '-')
             usage(argv[0]);
-        } else {
-            files.push_back(arg);
-        }
+        files.push_back(arg);
     }
     if (files.size() != 2)
         usage(argv[0]);
@@ -179,10 +175,8 @@ main(int argc, char **argv)
     }
 
     std::vector<Leaf> base_leaves, fresh_leaves;
-    collectLeaves(*base.find("metrics"), "", check_timers,
-                  base_leaves);
-    collectLeaves(*fresh.find("metrics"), "", check_timers,
-                  fresh_leaves);
+    collectLeaves(*base.find("metrics"), "", base_leaves);
+    collectLeaves(*fresh.find("metrics"), "", fresh_leaves);
 
     // Index both sides by path: stats documents now carry hundreds
     // of leaves, so the pairing is done via maps rather than a
@@ -202,12 +196,9 @@ main(int argc, char **argv)
             failures++;
             continue;
         }
-        double dev = deviation(b.value, it->second);
-        if (dev > tolerance) {
-            std::printf("FAIL %-50s baseline %.6g, fresh %.6g "
-                        "(%.1f%% > %.0f%%)\n",
-                        b.path.c_str(), b.value, it->second,
-                        100 * dev, 100 * tolerance);
+        if (deviation(b.value, it->second) > b.tolerance) {
+            std::printf("FAIL %-50s baseline %.17g, fresh %.17g\n",
+                        b.path.c_str(), b.value, it->second);
             failures++;
         }
     }
@@ -221,9 +212,8 @@ main(int argc, char **argv)
                     extra);
     }
 
-    std::printf("%s: %zu metric(s) compared, %d failure(s), "
-                "tolerance %.0f%%\n",
+    std::printf("%s: %zu metric(s) compared, %d failure(s)\n",
                 failures ? "FAIL" : "OK", base_leaves.size(),
-                failures, 100 * tolerance);
+                failures);
     return failures ? 1 : 0;
 }

@@ -186,13 +186,22 @@ processModuleImpl(const std::string &input, const Options &opt,
         support::throwInputError("%s: invalid module: %s",
                                  input.c_str(),
                                  problems.front().c_str());
-    if (!m->findFunction(opt.entry))
-        support::throwInputError("%s: no entry function @%s",
-                                 input.c_str(), opt.entry.c_str());
-    if (opt.chaos && !opt.recovery.empty() &&
-        !m->findFunction(opt.recovery))
-        support::throwInputError("%s: no recovery function @%s",
-                                 input.c_str(), opt.recovery.c_str());
+    // The entry, and the recovery function wherever a stage runs it,
+    // are run with no arguments.
+    auto check_runnable = [&](const std::string &name, const char *role) {
+        ir::Function *f = m->findFunction(name);
+        if (!f)
+            support::throwInputError("%s: no %s function @%s",
+                                     input.c_str(), role, name.c_str());
+        if (f->numParams() != 0)
+            support::throwInputError(
+                "%s: %s function @%s takes %zu parameter(s); it must "
+                "take none", input.c_str(), role, name.c_str(),
+                f->numParams());
+    };
+    check_runnable(opt.entry, "entry");
+    if ((opt.chaos || opt.optimize) && !opt.recovery.empty())
+        check_runnable(opt.recovery, "recovery");
 
     auto &metrics = support::MetricsRegistry::global();
 

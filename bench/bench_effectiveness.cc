@@ -15,7 +15,7 @@
 #include "apps/pmcache.hh"
 #include "bench_util.hh"
 #include "pmem/pm_pool.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 #include "vm/vm.hh"
 
 namespace
@@ -134,8 +134,7 @@ main(int argc, char **argv)
     // The two whole-program targets repair concurrently too.
     results.resize(3);
     {
-        support::ThreadPool pool(std::min(jobs, 2u));
-        pool.parallelForEach(1, 3, [&](uint64_t i) {
+        support::parallelFor(jobs, 1, 3, [&](uint64_t i) {
             results[i] =
                 i == 1 ? runTarget("P-CLHT (RECIPE)",
                                    [] { return apps::buildPclht({}); },

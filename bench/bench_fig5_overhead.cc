@@ -17,7 +17,7 @@
 #include "apps/pmcache.hh"
 #include "bench_util.hh"
 #include "support/stopwatch.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 
 namespace
 {
@@ -80,9 +80,7 @@ main(int argc, char **argv)
         std::vector<Overhead> ones(cases.size());
         unsigned jobs = (unsigned)bench::knob(
             opt, "HIPPO_JOBS", support::hardwareConcurrency(), 2);
-        support::ThreadPool pool(
-            std::min<size_t>(jobs, cases.size()));
-        pool.parallelForEach(0, cases.size(), [&](uint64_t i) {
+        support::parallelFor(jobs, 0, cases.size(), [&](uint64_t i) {
             auto m = cases[i].build(false);
             ones[i] =
                 measure(cases[i].id, m.get(), cases[i].entry, {});

@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <functional>
 
 #include "apps/kv_driver.hh"
 #include "apps/pmcache.hh"
@@ -19,7 +18,7 @@
 #include "ir/builder.hh"
 #include "pmcheck/detector.hh"
 #include "pmem/pm_pool.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 #include "vm/vm.hh"
 
 namespace
@@ -297,49 +296,24 @@ BM_FlushCleaner_Module(benchmark::State &state)
 BENCHMARK(BM_FlushCleaner_Module);
 
 /**
- * ThreadPool dispatch cost, per-item path: one Batch publish per
- * parallelForEach call, workers index into a shared callable.
- * Baseline for BM_ThreadPool_SubmitAll.
+ * parallelFor dispatch cost: every call starts and joins its four
+ * threads. The items are near-empty, so this measures fan-out
+ * overhead, not work.
  */
 void
-BM_ThreadPool_ParallelForEach(benchmark::State &state)
+BM_ParallelFor(benchmark::State &state)
 {
-    support::ThreadPool pool(4);
     const uint64_t tasks = state.range(0);
     std::atomic<uint64_t> sink{0};
     for (auto _ : state) {
-        pool.parallelForEach(0, tasks, [&](uint64_t i) {
+        support::parallelFor(4, 0, tasks, [&](uint64_t i) {
             sink.fetch_add(i + 1, std::memory_order_relaxed);
         });
     }
     benchmark::DoNotOptimize(sink.load());
     state.SetItemsProcessed(state.iterations() * tasks);
 }
-BENCHMARK(BM_ThreadPool_ParallelForEach)->Arg(8)->Arg(64);
-
-/**
- * ThreadPool dispatch cost, batch path: submitAll publishes a whole
- * task vector under one lock with one notify_all. The tasks
- * themselves are near-empty, so this measures handoff overhead, not
- * work.
- */
-void
-BM_ThreadPool_SubmitAll(benchmark::State &state)
-{
-    support::ThreadPool pool(4);
-    const uint64_t tasks = state.range(0);
-    std::atomic<uint64_t> sink{0};
-    std::vector<std::function<void()>> work;
-    for (uint64_t i = 0; i < tasks; i++)
-        work.push_back([&sink, i] {
-            sink.fetch_add(i + 1, std::memory_order_relaxed);
-        });
-    for (auto _ : state)
-        pool.submitAll(work);
-    benchmark::DoNotOptimize(sink.load());
-    state.SetItemsProcessed(state.iterations() * tasks);
-}
-BENCHMARK(BM_ThreadPool_SubmitAll)->Arg(8)->Arg(64);
+BENCHMARK(BM_ParallelFor)->Arg(8)->Arg(64);
 
 void
 BM_KvDriver_WorkloadA(benchmark::State &state)

@@ -28,7 +28,7 @@
 #include "bench_util.hh"
 #include "pmcheck/crash_explorer.hh"
 #include "support/stopwatch.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 
 namespace
 {

@@ -6,7 +6,7 @@
 #include "ir/verifier.hh"
 #include "pmem/pm_pool.hh"
 #include "support/logging.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 #include "vm/vm.hh"
 
 namespace hippo::apps
@@ -683,18 +683,9 @@ evaluateCases(const std::vector<BugCase> &cases,
               core::FixerConfig cfg)
 {
     std::vector<CaseResult> results(cases.size());
-    unsigned jobs = support::resolveJobs(cfg.jobs);
-    jobs = (unsigned)std::min<size_t>(jobs, cases.size());
-    auto one = [&](uint64_t i) {
+    support::parallelFor(cfg.jobs, 0, cases.size(), [&](uint64_t i) {
         results[i] = evaluateCase(cases[i], cfg);
-    };
-    if (jobs <= 1) {
-        for (uint64_t i = 0; i < cases.size(); i++)
-            one(i);
-    } else {
-        support::ThreadPool pool(jobs);
-        pool.parallelForEach(0, cases.size(), one);
-    }
+    });
     return results;
 }
 

@@ -12,7 +12,7 @@
 #include "pmem/pm_pool.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 #include "vm/vm.hh"
 
 namespace hippo::pmcheck
@@ -31,34 +31,190 @@ namespace
  */
 constexpr uint64_t wallClockRetryStepCap = 1ULL << 26;
 
-/** Generous hang backstop for deterministic (re)tries: hit only by
- *  a pathological host or a genuine hang, never by a healthy run. */
+/** Generous hang backstop for deterministic retries: hit only by a
+ *  pathological host or a genuine hang, never by a healthy run. */
 uint64_t
 backstopMs(const CrashExplorerConfig &cfg)
 {
     return std::max<uint64_t>(cfg.timeBudgetMs * 64, 10000);
 }
 
-/** The recovery step cap (see wallClockRetryStepCap). */
-uint64_t
-effectiveStepBudget(const CrashExplorerConfig &cfg)
+/**
+ * The recovery half of every replay, shared by the single-schedule
+ * and the interleaving path: one recovery run, one crash step, the
+ * clean-run recovery, and the degradation ladder. Safe to use from
+ * parallelFor workers; the wall-clock retries they count are folded
+ * into the (uncomparable) explorer.wallclock.retries gauge when the
+ * exploration ends.
+ *
+ * Attempts triggered by the wall clock never touch a comparable
+ * counter, so every exported count stays a pure function of the
+ * module and the config.
+ */
+class Recovery
 {
-    if (cfg.stepBudget)
-        return cfg.stepBudget;
-    return cfg.timeBudgetMs ? wallClockRetryStepCap : 0;
-}
+  public:
+    Recovery(ir::Module *m, const CrashExplorerConfig &cfg)
+        : m_(m), cfg_(cfg), reg_(support::MetricsRegistry::global()),
+          faulting_(cfg.faults.enabled())
+    {}
 
-/** Fold this run's wall-clock-retry count into the (uncomparable)
- *  explorer.wallclock.retries gauge. */
-void
-noteWallClockRetries(uint64_t n)
-{
-    if (!n)
-        return;
-    auto &g = support::MetricsRegistry::global().gauge(
-        "explorer.wallclock.retries");
-    g.set(g.value() + (double)n);
-}
+    ~Recovery()
+    {
+        uint64_t n = wcRetries_.load(std::memory_order_relaxed);
+        if (!n)
+            return;
+        auto &g = reg_.gauge("explorer.wallclock.retries");
+        g.set(g.value() + (double)n);
+    }
+
+    /**
+     * Run the recovery entry once against the crashed @p pool. It is
+     * sandboxed under the configured budgets whenever one is set or
+     * the image is @p torn (a torn image may drive recovery
+     * anywhere). On a @p retry the wall-clock budget is swapped for
+     * the hang backstop, so the step cap decides.
+     */
+    vm::RunResult
+    recover(pmem::PmPool &pool, bool torn, bool retry) const
+    {
+        vm::VmConfig vc;
+        vc.engine = cfg_.vmEngine;
+        if (torn || cfg_.stepBudget || cfg_.heapBudget ||
+            cfg_.timeBudgetMs) {
+            vc.sandbox = true;
+            // A clock-only budget still gets a deterministic step cap.
+            vc.stepBudget = cfg_.stepBudget ? cfg_.stepBudget
+                            : cfg_.timeBudgetMs ? wallClockRetryStepCap
+                                                : 0;
+            vc.heapBudget = cfg_.heapBudget;
+            vc.timeBudgetMs = retry ? backstopMs(cfg_) : cfg_.timeBudgetMs;
+        }
+        vm::Vm recovery(m_, &pool, vc);
+        return recovery.run(cfg_.recovery, cfg_.recoveryArgs);
+    }
+
+    /**
+     * Crash a materialized replay pool — tearing in-flight lines
+     * under the configured fault plan reseeded by @p fseed, a
+     * function of the plan position (never of the worker), so torn
+     * states reproduce at every jobs setting — and recover it once.
+     */
+    vm::RunResult
+    crashAndRecover(pmem::PmPool &pool, uint64_t fseed, bool retry)
+    {
+        if (faulting_) {
+            pmem::FaultPlan fp = cfg_.faults;
+            fp.seed = fseed;
+            pool.setFaultPlan(fp);
+        }
+        pool.crash();
+        if (faulting_ && !retry) {
+            const pmem::PmPoolStats &ps = pool.stats();
+            reg_.counter("explorer.fault.crashes").inc(ps.faultedCrashes);
+            reg_.counter("explorer.fault.torn_lines").inc(ps.tornLines);
+            reg_.counter("explorer.fault.torn_chunks").inc(ps.tornChunks);
+            reg_.counter("explorer.fault.bitrot_flips")
+                .inc(ps.bitRotFlips);
+        }
+        return recover(pool, faulting_, retry);
+    }
+
+    /** Fork @p snap into a private pool, then crashAndRecover it. */
+    vm::RunResult
+    fromSnapshot(const pmem::PmPool::Snapshot &snap, uint64_t fseed,
+                 bool retry)
+    {
+        pmem::PmPool pool(snap);
+        pool.resetStats();
+        vm::RunResult rec = crashAndRecover(pool, fseed, retry);
+        if (!retry)
+            reg_.counter("explorer.snapshot.pages_copied")
+                .inc(pool.stats().pagesCopied);
+        return rec;
+    }
+
+    /**
+     * The clean run: crash the entry run's @p pool without faults (it
+     * is the reference the torn replays are compared against) and
+     * recover it, still under the watchdog, so a recovery that
+     * diverges even on a clean crash cannot hang the exploration
+     * before the first replay. Returns the recovered value (0 when
+     * recovery failed).
+     */
+    uint64_t
+    clean(pmem::PmPool &pool)
+    {
+        pool.crash();
+        // A wall-clock verdict must not leak into cleanRunRecovered,
+        // so keep the crash image for the deterministic retry.
+        pmem::PmPool::Snapshot crash_image;
+        if (cfg_.timeBudgetMs)
+            crash_image = pool.snapshot();
+        vm::RunResult rec = retrying([&](bool retry) {
+            if (!retry)
+                return recover(pool, false, false);
+            pmem::PmPool rpool(crash_image);
+            return recover(rpool, false, true);
+        });
+        reg_.counter("explorer.recovery.steps").inc(rec.steps);
+        return rec.ok() ? rec.returnValue : 0;
+    }
+
+    /**
+     * The degradation ladder for one crash point. @p attempt(retry)
+     * materializes the point's pool and recovers it (through
+     * crashAndRecover). A wall-clock timeout is a host verdict, not a
+     * module verdict, so it is retried once under the deterministic
+     * step cap. Any other failure is final: the replay is
+     * deterministic, so a second attempt would fail the same way, and
+     * the point is recorded as unverified instead of aborting the
+     * exploration. Returns @p o with its verdict filled in.
+     */
+    template <class Attempt>
+    CrashOutcome
+    settle(CrashOutcome o, Attempt &&attempt)
+    {
+        support::ScopedTimer t(reg_.timer("explorer.replay_ns"));
+        vm::RunResult rec = retrying(attempt);
+        if (!rec.ok()) {
+            o.unverified = true;
+            rec.returnValue = 0;
+            reg_.counter("explorer.degraded.unverified").inc();
+            reg_.counter(std::string("explorer.degraded.") +
+                         vm::execOutcomeName(rec.outcome))
+                .inc();
+        }
+        o.recovered = rec.returnValue;
+        // Steps from a backstop-cut run (pathological host) stay out
+        // of the comparable aggregate.
+        if (rec.ok() || !rec.wallClockTimeout)
+            reg_.counter("explorer.recovery.steps").inc(rec.steps);
+        reg_.histogram("explorer.recovered").observe((double)o.recovered);
+        return o;
+    }
+
+  private:
+    /** @p attempt(false), repeated as @p attempt(true) when the wall
+     *  clock cut it short. */
+    template <class Attempt>
+    vm::RunResult
+    retrying(Attempt &&attempt)
+    {
+        vm::RunResult rec = attempt(false);
+        if (!rec.ok() && rec.wallClockTimeout) {
+            wcRetries_.fetch_add(1, std::memory_order_relaxed);
+            rec = attempt(true);
+        }
+        return rec;
+    }
+
+    ir::Module *m_;
+    const CrashExplorerConfig &cfg_;
+    support::MetricsRegistry &reg_;
+    const bool faulting_;
+    std::atomic<uint64_t> wcRetries_{0};
+};
 
 /** How one planned crash point is materialized into a pool state. */
 enum class ReplayMode
@@ -137,12 +293,12 @@ struct MasterState
  * capturing per-crash-point pool snapshots or op-log cursors, then
  * crashes the pool and runs recovery once for cleanRunRecovered.
  * With @p mode == Legacy nothing is captured — this is exactly the
- * legacy engine's profile run. Returns the recovery run's steps.
+ * legacy engine's profile run.
  */
-uint64_t
+void
 masterRun(ir::Module *m, const CrashExplorerConfig &cfg,
-          ReplayMode mode, pmem::PmOpLog *log, ExplorationResult &out,
-          MasterState &ms)
+          ReplayMode mode, pmem::PmOpLog *log, Recovery &rc,
+          ExplorationResult &out, MasterState &ms)
 {
     pmem::PmPool pool(cfg.poolBytes, cfg.evictChance, cfg.seed);
     if (log)
@@ -198,42 +354,10 @@ masterRun(ir::Module *m, const CrashExplorerConfig &cfg,
     // Recovery ops must not enter the log: replay cursors reference
     // the entry run only.
     pool.setOpLog(nullptr);
-    pool.crash();
-    // A wall-clock verdict must not leak into cleanRunRecovered, so
-    // keep a crash image around for the deterministic retry (only
-    // when a clock budget exists; the snapshot itself is config-
-    // deterministic).
-    pmem::PmPool::Snapshot crash_image;
-    if (cfg.timeBudgetMs)
-        crash_image = pool.snapshot();
-    // The clean run stays fault-free (it is the reference the torn
-    // replays are compared against) but the watchdog still applies:
-    // a recovery entry that diverges even on a clean crash must not
-    // hang the exploration before the first replay.
-    auto recover = [&](pmem::PmPool &rpool, bool deterministic) {
-        vm::VmConfig rvc;
-        rvc.engine = cfg.vmEngine;
-        if (cfg.stepBudget || cfg.heapBudget || cfg.timeBudgetMs) {
-            rvc.sandbox = true;
-            rvc.stepBudget = effectiveStepBudget(cfg);
-            rvc.heapBudget = cfg.heapBudget;
-            rvc.timeBudgetMs =
-                deterministic ? backstopMs(cfg) : cfg.timeBudgetMs;
-        }
-        vm::Vm recovery(m, &rpool, rvc);
-        return recovery.run(cfg.recovery, cfg.recoveryArgs);
-    };
-    auto rec = recover(pool, false);
-    if (!rec.ok() && rec.wallClockTimeout) {
-        noteWallClockRetries(1);
-        pmem::PmPool rpool(crash_image);
-        rec = recover(rpool, true);
-    }
-    out.cleanRunRecovered = rec.ok() ? rec.returnValue : 0;
+    out.cleanRunRecovered = rc.clean(pool);
 
     ms.snapshots = pool.stats().snapshots;
     ms.pagesCopied = pool.stats().pagesCopied;
-    return rec.steps;
 }
 
 /**
@@ -385,80 +509,15 @@ exploreInterleavings(ir::Module *m, const CrashExplorerConfig &cfg)
     reg.counter("explorer.sched.runs").inc();
     reg.counter("explorer.engine.snapshot_fork").inc();
 
-    const bool faulting = cfg.faults.enabled();
-    const bool guarded = faulting || cfg.stepBudget ||
-                         cfg.heapBudget || cfg.timeBudgetMs;
-
-    std::atomic<uint64_t> wc_retries{0};
-
+    Recovery rc(m, cfg);
     // Recover one forked crash image into the prefilled outcome
-    // @p o, with fault injection seeded by @p fseed and the same
-    // wall-clock-immune degradation ladder as the single-schedule
-    // replay path (rung two re-forks the snapshot — the fork IS the
-    // exact pool state, so no legacy re-execution is needed).
+    // @p o, with fault injection seeded by @p fseed, through the same
+    // ladder as the single-schedule replay path.
     auto recoverSnap = [&](const pmem::PmPool::Snapshot &snap,
-                           CrashOutcome o,
-                           uint64_t fseed) -> CrashOutcome {
-        support::ScopedTimer t(reg.timer("explorer.replay_ns"));
-        pmem::FaultPlan fp = cfg.faults;
-        fp.seed = fseed;
-        auto attempt = [&](uint64_t tighten, bool deterministic,
-                           bool count) {
-            pmem::PmPool pool(snap);
-            pool.resetStats();
-            if (faulting)
-                pool.setFaultPlan(fp);
-            pool.crash();
-            if (faulting && count) {
-                const pmem::PmPoolStats &ps = pool.stats();
-                reg.counter("explorer.fault.crashes")
-                    .inc(ps.faultedCrashes);
-                reg.counter("explorer.fault.torn_lines")
-                    .inc(ps.tornLines);
-                reg.counter("explorer.fault.torn_chunks")
-                    .inc(ps.tornChunks);
-                reg.counter("explorer.fault.bitrot_flips")
-                    .inc(ps.bitRotFlips);
-            }
-            vm::VmConfig vc;
-            vc.engine = cfg.vmEngine;
-            if (guarded) {
-                vc.sandbox = true;
-                vc.stepBudget = effectiveStepBudget(cfg) / tighten;
-                vc.heapBudget = cfg.heapBudget / tighten;
-                vc.timeBudgetMs = deterministic
-                                      ? backstopMs(cfg)
-                                      : cfg.timeBudgetMs / tighten;
-            }
-            vm::Vm recovery(m, &pool, vc);
-            auto rec = recovery.run(cfg.recovery, cfg.recoveryArgs);
-            if (count)
-                reg.counter("explorer.snapshot.pages_copied")
-                    .inc(pool.stats().pagesCopied);
-            return rec;
-        };
-        vm::RunResult rec = attempt(1, false, true);
-        if (!rec.ok() && rec.wallClockTimeout) {
-            wc_retries.fetch_add(1, std::memory_order_relaxed);
-            rec = attempt(1, true, false);
-        }
-        if (!rec.ok()) {
-            reg.counter("explorer.degraded.retries").inc();
-            rec = attempt(2, true, true);
-        }
-        if (!rec.ok()) {
-            o.unverified = true;
-            rec.returnValue = 0;
-            reg.counter("explorer.degraded.unverified").inc();
-            reg.counter(std::string("explorer.degraded.") +
-                        vm::execOutcomeName(rec.outcome))
-                .inc();
-        }
-        o.recovered = rec.returnValue;
-        if (rec.ok() || !rec.wallClockTimeout)
-            reg.counter("explorer.recovery.steps").inc(rec.steps);
-        reg.histogram("explorer.recovered").observe((double)o.recovered);
-        return o;
+                           CrashOutcome o, uint64_t fseed) {
+        return rc.settle(o, [&](bool retry) {
+            return rc.fromSnapshot(snap, fseed, retry);
+        });
     };
 
     // ---- Plan 0: the baseline schedule, run like the master run of
@@ -498,32 +557,7 @@ exploreInterleavings(ir::Module *m, const CrashExplorerConfig &cfg)
         out.durPointsInRun = durpoints;
         out.visibleOpsInRun = run0.visibleOps;
 
-        pool.crash();
-        pmem::PmPool::Snapshot crash_image;
-        if (cfg.timeBudgetMs)
-            crash_image = pool.snapshot();
-        auto recover = [&](pmem::PmPool &rpool, bool deterministic) {
-            vm::VmConfig rvc;
-            rvc.engine = cfg.vmEngine;
-            if (cfg.stepBudget || cfg.heapBudget ||
-                cfg.timeBudgetMs) {
-                rvc.sandbox = true;
-                rvc.stepBudget = effectiveStepBudget(cfg);
-                rvc.heapBudget = cfg.heapBudget;
-                rvc.timeBudgetMs = deterministic ? backstopMs(cfg)
-                                                 : cfg.timeBudgetMs;
-            }
-            vm::Vm recovery(m, &rpool, rvc);
-            return recovery.run(cfg.recovery, cfg.recoveryArgs);
-        };
-        auto rec = recover(pool, false);
-        if (!rec.ok() && rec.wallClockTimeout) {
-            wc_retries.fetch_add(1, std::memory_order_relaxed);
-            pmem::PmPool rpool(crash_image);
-            rec = recover(rpool, true);
-        }
-        out.cleanRunRecovered = rec.ok() ? rec.returnValue : 0;
-        reg.counter("explorer.recovery.steps").inc(rec.steps);
+        out.cleanRunRecovered = rc.clean(pool);
         baseline_snapshots = pool.stats().snapshots;
     }
     reg.counter("explorer.profile.durpoints").inc(out.durPointsInRun);
@@ -630,15 +664,7 @@ exploreInterleavings(ir::Module *m, const CrashExplorerConfig &cfg)
         per_plan[k] = std::move(v);
     };
 
-    unsigned jobs = support::resolveJobs(cfg.jobs);
-    jobs = (unsigned)std::min<uint64_t>(jobs, plans.size());
-    if (jobs <= 1 || plans.size() <= 1) {
-        for (uint64_t k = 1; k < plans.size(); k++)
-            runPlan(k);
-    } else {
-        support::ThreadPool pool(jobs);
-        pool.parallelForEach(1, plans.size(), runPlan);
-    }
+    support::parallelFor(cfg.jobs, 1, plans.size(), runPlan);
 
     out.schedulesDegraded = degraded.load(std::memory_order_relaxed);
     out.racesObserved = races_total.load(std::memory_order_relaxed);
@@ -654,8 +680,6 @@ exploreInterleavings(ir::Module *m, const CrashExplorerConfig &cfg)
             out.outcomes.push_back(o);
     reg.counter("explorer.crash_points.total").inc(out.outcomes.size());
     reg.counter("explorer.crash_points.durpoint").inc(durSnaps.size());
-
-    noteWallClockRetries(wc_retries.load(std::memory_order_relaxed));
     return out;
 }
 
@@ -753,19 +777,16 @@ exploreCrashes(ir::Module *m, const CrashExplorerConfig &cfg)
     else if (cfg.evictChance > 0)
         mode = ReplayMode::Log;
 
+    Recovery rc(m, cfg);
     pmem::PmOpLog log(cfg.opLogMaxBytes);
     MasterState ms;
-    uint64_t master_recovery_steps = 0;
     {
         support::ScopedTimer t(reg.timer("explorer.profile_ns"));
-        master_recovery_steps =
-            masterRun(m, cfg, mode,
-                      mode == ReplayMode::Log ? &log : nullptr, out,
-                      ms);
+        masterRun(m, cfg, mode, mode == ReplayMode::Log ? &log : nullptr,
+                  rc, out, ms);
     }
     reg.counter("explorer.profile.durpoints").inc(out.durPointsInRun);
     reg.counter("explorer.profile.steps").inc(out.stepsInRun);
-    reg.counter("explorer.recovery.steps").inc(master_recovery_steps);
 
     if (mode == ReplayMode::Log && log.overflowed()) {
         // The op log blew its byte budget: the recorded cursors are
@@ -806,195 +827,68 @@ exploreCrashes(ir::Module *m, const CrashExplorerConfig &cfg)
     // every replay mode. The metric instruments are shared but
     // order-independent, so the exported counts are deterministic
     // too; only the wall-clock timers (and the wallclock.retries
-    // gauge) vary run to run: attempts triggered by the wall clock
-    // never touch a comparable counter.
-    std::atomic<uint64_t> wc_retries{0};
+    // gauge) vary run to run.
     auto replay = [&](uint64_t k) {
-        support::ScopedTimer t(reg.timer("explorer.replay_ns"));
         const PlannedCrash &p = plan[k];
+        const uint64_t fseed = faultSeed(cfg, k);
         CrashOutcome o;
         o.atStep = p.atStep;
         o.crashPoint = p.crashPoint;
 
-        // The entry-run steps a legacy replay of this point executes
-        // (a step crash stops at exactly crashPoint steps; a durpoint
-        // crash stops inside the durpoint instruction, whose in-run
-        // step the master recorded — in the fast modes only).
+        // The master's capture slot for this point, and the entry-run
+        // steps a legacy replay of it executes (a step crash stops at
+        // exactly crashPoint steps; a durpoint crash stops inside the
+        // durpoint instruction, whose in-run step the master
+        // recorded). Neither exists in Legacy mode.
+        size_t slot = 0;
         uint64_t legacy_steps = 0;
-        if (mode != ReplayMode::Legacy)
-            legacy_steps = p.atStep
-                               ? p.crashPoint
-                               : ms.durSteps[ms.durSlot.at(
-                                     p.crashPoint)];
+        if (mode != ReplayMode::Legacy) {
+            slot = p.atStep ? p.crashPoint / cfg.stepStride - 1
+                            : ms.durSlot.at(p.crashPoint);
+            legacy_steps = p.atStep ? p.crashPoint : ms.durSteps[slot];
+        }
 
-        const bool faulting = cfg.faults.enabled();
-        const bool guarded = faulting || cfg.stepBudget ||
-                             cfg.heapBudget || cfg.timeBudgetMs;
-
-        // The effective fault plan for this crash point: the
-        // configured odds, reseeded by plan position (never by
-        // worker), so torn states reproduce at every jobs setting.
-        pmem::FaultPlan fp = cfg.faults;
-        fp.seed = faultSeed(cfg, k);
-
-        // Crash the materialized pool (tearing in-flight lines when
-        // a fault plan is active) and run recovery, sandboxed under
-        // the configured budgets divided by @p tighten. With
-        // @p deterministic the wall-clock budget is swapped for the
-        // hang backstop (the step cap decides); with !count no
-        // comparable counter is touched (wall-clock retries).
-        auto crashAndRecover = [&](pmem::PmPool &pool,
-                                   uint64_t tighten,
-                                   bool deterministic, bool count) {
-            if (faulting)
-                pool.setFaultPlan(fp);
-            pool.crash();
-            if (faulting && count) {
-                const pmem::PmPoolStats &ps = pool.stats();
-                reg.counter("explorer.fault.crashes")
-                    .inc(ps.faultedCrashes);
-                reg.counter("explorer.fault.torn_lines")
-                    .inc(ps.tornLines);
-                reg.counter("explorer.fault.torn_chunks")
-                    .inc(ps.tornChunks);
-                reg.counter("explorer.fault.bitrot_flips")
-                    .inc(ps.bitRotFlips);
-            }
-            vm::VmConfig vc;
-            vc.engine = cfg.vmEngine;
-            if (guarded) {
-                vc.sandbox = true;
-                vc.stepBudget = effectiveStepBudget(cfg) / tighten;
-                vc.heapBudget = cfg.heapBudget / tighten;
-                vc.timeBudgetMs = deterministic
-                                      ? backstopMs(cfg)
-                                      : cfg.timeBudgetMs / tighten;
-            }
-            vm::Vm recovery(m, &pool, vc);
-            return recovery.run(cfg.recovery, cfg.recoveryArgs);
-        };
-
-        /** Legacy materialization: full entry re-execution with the
-         *  crash knobs — rung two of the degradation ladder, and the
-         *  Legacy engine's only rung. */
-        auto legacyAttempt = [&](uint64_t tighten,
-                                 bool deterministic, bool count) {
-            pmem::PmPool pool(cfg.poolBytes, cfg.evictChance,
-                              replaySeed(cfg, k));
-            {
-                vm::VmConfig vc;
-                vc.engine = cfg.vmEngine;
-                vc.crashAtDurPoint =
-                    p.atStep ? -1 : (int64_t)p.crashPoint;
-                vc.crashAtStep = p.atStep ? p.crashPoint : 0;
-                vm::Vm machine(m, &pool, vc);
-                uint64_t steps =
-                    machine.run(cfg.entry, cfg.entryArgs).steps;
-                if (count)
-                    reg.counter("explorer.replay.steps_executed")
-                        .inc(steps);
-            }
-            return crashAndRecover(pool, tighten, deterministic,
-                                   count);
-        };
-
-        /** Materialize this crash point's pool the mode's way and
-         *  run one recovery attempt. */
-        auto attempt = [&](uint64_t tighten, bool deterministic,
-                           bool count) -> vm::RunResult {
-            switch (mode) {
-              case ReplayMode::Legacy:
-                return legacyAttempt(tighten, deterministic, count);
-              case ReplayMode::Fork: {
-                const pmem::PmPool::Snapshot &snap =
-                    p.atStep ? ms.stepSnaps[p.crashPoint /
-                                                cfg.stepStride -
-                                            1]
-                             : ms.durSnaps[ms.durSlot.at(
-                                   p.crashPoint)];
-                pmem::PmPool pool(snap);
-                pool.resetStats();
-                auto rec = crashAndRecover(pool, tighten,
-                                           deterministic, count);
-                if (count) {
-                    reg.counter("explorer.snapshot.pages_copied")
-                        .inc(pool.stats().pagesCopied);
-                    reg.counter("explorer.replay.steps_saved")
-                        .inc(legacy_steps);
-                }
-                return rec;
-              }
-              case ReplayMode::Log: {
+        // Materialize this crash point's pool the mode's way and
+        // recover it once.
+        out.outcomes[k] = rc.settle(o, [&](bool retry) -> vm::RunResult {
+            if (mode == ReplayMode::Legacy) {
+                // Full entry re-execution with the crash knobs.
                 pmem::PmPool pool(cfg.poolBytes, cfg.evictChance,
                                   replaySeed(cfg, k));
-                size_t pos =
-                    p.atStep ? ms.stepLogPos[p.crashPoint /
-                                                 cfg.stepStride -
-                                             1]
-                             : ms.durLogPos[ms.durSlot.at(
-                                   p.crashPoint)];
-                log.replayTo(pool, pos);
-                auto rec = crashAndRecover(pool, tighten,
-                                           deterministic, count);
-                if (count)
-                    reg.counter("explorer.replay.steps_saved")
-                        .inc(legacy_steps);
-                return rec;
-              }
+                {
+                    vm::VmConfig vc;
+                    vc.engine = cfg.vmEngine;
+                    vc.crashAtDurPoint =
+                        p.atStep ? -1 : (int64_t)p.crashPoint;
+                    vc.crashAtStep = p.atStep ? p.crashPoint : 0;
+                    vm::Vm machine(m, &pool, vc);
+                    uint64_t steps =
+                        machine.run(cfg.entry, cfg.entryArgs).steps;
+                    if (!retry)
+                        reg.counter("explorer.replay.steps_executed")
+                            .inc(steps);
+                }
+                return rc.crashAndRecover(pool, fseed, retry);
             }
-            __builtin_unreachable();
-        };
-
-        vm::RunResult rec = attempt(1, false, true);
-
-        // A wall-clock timeout is a host verdict, not a module
-        // verdict: replay the same crash point under the
-        // deterministic step cap before letting the ladder see it.
-        if (!rec.ok() && rec.wallClockTimeout) {
-            wc_retries.fetch_add(1, std::memory_order_relaxed);
-            rec = attempt(1, true, false);
-        }
-
-        // Degradation ladder: a recovery the watchdog cut short gets
-        // one retry on the legacy engine with budgets tightened to
-        // half (a genuinely diverging recovery fails it faster);
-        // still no verdict -> the crash point is recorded as
-        // unverified rather than aborting the exploration. Both
-        // rungs are now deterministic, so the comparable degraded
-        // counters are too.
-        if (!rec.ok()) {
-            reg.counter("explorer.degraded.retries").inc();
-            rec = legacyAttempt(2, true, true);
-        }
-        if (!rec.ok()) {
-            o.unverified = true;
-            rec.returnValue = 0;
-            reg.counter("explorer.degraded.unverified").inc();
-            reg.counter(std::string("explorer.degraded.") +
-                        vm::execOutcomeName(rec.outcome))
-                .inc();
-        }
-
-        o.recovered = rec.returnValue;
-        // Steps from a backstop-cut run (pathological host) stay out
-        // of the comparable aggregate.
-        if (rec.ok() || !rec.wallClockTimeout)
-            reg.counter("explorer.recovery.steps").inc(rec.steps);
-        reg.histogram("explorer.recovered").observe((double)o.recovered);
-        out.outcomes[k] = o;
+            vm::RunResult rec;
+            if (mode == ReplayMode::Fork) {
+                rec = rc.fromSnapshot(p.atStep ? ms.stepSnaps[slot]
+                                               : ms.durSnaps[slot],
+                                      fseed, retry);
+            } else {
+                pmem::PmPool pool(cfg.poolBytes, cfg.evictChance,
+                                  replaySeed(cfg, k));
+                log.replayTo(pool, p.atStep ? ms.stepLogPos[slot]
+                                            : ms.durLogPos[slot]);
+                rec = rc.crashAndRecover(pool, fseed, retry);
+            }
+            if (!retry)
+                reg.counter("explorer.replay.steps_saved")
+                    .inc(legacy_steps);
+            return rec;
+        });
     };
-
-    unsigned jobs = support::resolveJobs(cfg.jobs);
-    jobs = (unsigned)std::min<uint64_t>(jobs, plan.size());
-    if (jobs <= 1) {
-        for (uint64_t k = 0; k < plan.size(); k++)
-            replay(k);
-    } else {
-        support::ThreadPool pool(jobs);
-        pool.parallelForEach(0, plan.size(), replay);
-    }
-    noteWallClockRetries(
-        wc_retries.load(std::memory_order_relaxed));
+    support::parallelFor(cfg.jobs, 0, plan.size(), replay);
     return out;
 }
 

@@ -45,9 +45,8 @@ namespace hippo::pmcheck
 /** How exploreCrashes replays the planned crash points. */
 enum class ExploreEngine : uint8_t
 {
-    /** Pick automatically (currently always Snapshot). */
-    Auto,
-    /** One full entry re-execution per crash point. */
+    /** One full entry re-execution per crash point (the reference
+     *  the snapshot engine is tested against). */
     Legacy,
     /**
      * One master entry execution; per crash point, fork a pool
@@ -97,7 +96,7 @@ struct CrashExplorerConfig
 
     /**
      * Replay workers. 0 = one per hardware thread; 1 = fully serial
-     * (no pool). Each crash point replays on its own Vm + PmPool and
+     * (on the calling thread). Each crash point replays on its own Vm + PmPool and
      * outcomes merge back in crash-plan order, so every value of
      * `jobs` yields a byte-identical ExplorationResult.
      */
@@ -113,7 +112,7 @@ struct CrashExplorerConfig
     uint64_t seed = 1;
 
     /** Replay engine (see ExploreEngine). */
-    ExploreEngine engine = ExploreEngine::Auto;
+    ExploreEngine engine = ExploreEngine::Snapshot;
 
     /**
      * Interpreter engine for every VM the exploration runs (master,
@@ -146,17 +145,18 @@ struct CrashExplorerConfig
      * Watchdog budgets for recovery replays (see vm::VmConfig).
      * Recovery from an adversarial (torn) state may diverge or trap;
      * when faults are enabled or any budget is nonzero, recovery
-     * runs sandboxed and a non-Ok outcome enters the degradation
-     * ladder: one legacy-engine retry with budgets tightened to
-     * half, then the crash point is recorded as unverified instead
-     * of aborting the exploration.
+     * runs sandboxed, and a crash point whose recovery ends in any
+     * non-Ok outcome is recorded as unverified instead of aborting
+     * the exploration. There is no second attempt at a smaller or
+     * larger budget: replays are deterministic, so it would fail the
+     * same way.
      *
      * Wall-clock timeouts never decide an outcome: a run cut short
-     * by `timeBudgetMs` is retried under a deterministic step cap
-     * (with only a generous hang backstop on the clock), so every
-     * comparable `explorer.*` aggregate — and the recovery digest —
-     * is a pure function of the module and this config, identical
-     * on any host. Only the uncomparable
+     * by `timeBudgetMs` is retried once under a deterministic step
+     * cap (with only a generous hang backstop on the clock), so
+     * every comparable `explorer.*` aggregate — and the recovery
+     * digest — is a pure function of the module and this config,
+     * identical on any host. Only the uncomparable
      * `explorer.wallclock.retries` gauge records how often the
      * clock fired.
      */
@@ -207,9 +207,9 @@ struct CrashOutcome
 
     uint64_t recovered = 0;   ///< recovery entry's return value
 
-    /** Recovery exhausted its watchdog budgets (or trapped) on both
-     *  rungs of the degradation ladder; `recovered` is 0 and means
-     *  "unknown", not "recovered nothing". */
+    /** Recovery exhausted its watchdog budgets (or trapped);
+     *  `recovered` is 0 and means "unknown", not "recovered
+     *  nothing". */
     bool unverified = false;
 
     bool operator==(const CrashOutcome &o) const = default;
@@ -245,7 +245,7 @@ struct ExplorationResult
     uint64_t minRecovered() const;
     uint64_t maxRecovered() const;
 
-    /** Crash points the degradation ladder gave up on. */
+    /** Crash points recorded as unverified. */
     uint64_t unverifiedCount() const;
 };
 

@@ -5,7 +5,7 @@
 
 #include "support/logging.hh"
 #include "support/strings.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 
 namespace hippo::support
 {

@@ -373,7 +373,11 @@ class MetricsRegistry
  *
  * Within v5, the sharded-execution families were removed and
  * histogram percentiles clamped to the observed [min, max]. No
- * remaining leaf changed its meaning, so the version stayed.
+ * remaining leaf changed its meaning, so the version stayed. Later
+ * the explorer's degradation ladder lost its second rung (and
+ * explorer.degraded.retries with it), so an unverified crash point
+ * counts one recovery attempt instead of two; no baseline had such
+ * a point, so the version stayed again.
  */
 constexpr int statsSchemaVersion = 5;
 

@@ -198,7 +198,7 @@ struct VmConfig
      * traps (volatile OOB access, division by zero, call-depth and
      * arena exhaustion, missing entry function) into
      * ExecOutcome::Trap instead of killing the process, so one
-     * hostile replay cannot take down a ThreadPool worker.
+     * hostile replay cannot take down a parallelFor worker.
      */
     /// @{
     uint64_t stepBudget = 0;   ///< per-run instruction cap (0 = off)

@@ -19,6 +19,7 @@
 #include "ir/parser.hh"
 #include "pmcheck/crash_explorer.hh"
 #include "pmem/pm_pool.hh"
+#include "support/metrics.hh"
 #include "vm/vm.hh"
 
 namespace hippo::test
@@ -360,9 +361,8 @@ TEST(FaultInjection, SandboxedMissingFunctionTraps)
 TEST(FaultInjection, DegradationLadderRecordsUnverified)
 {
     // A recovery entry that never terminates exhausts the sandbox
-    // budget, the legacy retry (budgets halved) times out too, and
-    // the crash point lands as unverified — exploration completes
-    // instead of hanging.
+    // budget and the crash point lands as unverified — exploration
+    // completes instead of hanging.
     std::string error;
     auto m = ir::parseModule("module \"stuckrec\"\n"
                              "func @work() -> i64 {\n"
@@ -395,6 +395,152 @@ TEST(FaultInjection, DegradationLadderRecordsUnverified)
     // Unverified points are excluded from the recovery invariants.
     EXPECT_TRUE(res.durPointRecoveryNonDecreasing());
     EXPECT_EQ(res.minRecovered(), 0u);
+}
+
+namespace
+{
+
+/** A recovery entry that never terminates. */
+constexpr const char *stuckRecovery = "func @stuck() -> i64 {\n"
+                                      "entry:\n"
+                                      "    br %loop\n"
+                                      "loop:\n"
+                                      "    br %loop\n"
+                                      "}\n";
+
+/** Steps @stuck runs before a sandbox with @p step_budget cuts it. */
+uint64_t
+stuckSteps(ir::Module *m, uint64_t step_budget)
+{
+    pmem::PmPool pool(1 << 16);
+    VmConfig vc;
+    vc.sandbox = true;
+    vc.stepBudget = step_budget;
+    Vm machine(m, &pool, vc);
+    auto res = machine.run("stuck", {});
+    EXPECT_EQ(res.outcome, ExecOutcome::Timeout);
+    return res.steps;
+}
+
+/** What one exploration added to the explorer counters. */
+struct LadderDelta
+{
+    uint64_t stepsExecuted = 0;
+    uint64_t recoverySteps = 0;
+    uint64_t timeouts = 0;
+    uint64_t unverified = 0;
+};
+
+pmcheck::ExplorationResult
+exploreCounting(ir::Module *m, const CrashExplorerConfig &xc,
+                LadderDelta &d)
+{
+    auto &reg = support::MetricsRegistry::global();
+    auto read = [&] {
+        return LadderDelta{
+            reg.counter("explorer.replay.steps_executed").value(),
+            reg.counter("explorer.recovery.steps").value(),
+            reg.counter("explorer.degraded.timeout").value(),
+            reg.counter("explorer.degraded.unverified").value()};
+    };
+    LadderDelta before = read();
+    auto res = exploreCrashes(m, xc);
+    LadderDelta after = read();
+    d.stepsExecuted = after.stepsExecuted - before.stepsExecuted;
+    d.recoverySteps = after.recoverySteps - before.recoverySteps;
+    d.timeouts = after.timeouts - before.timeouts;
+    d.unverified = after.unverified - before.unverified;
+    return res;
+}
+
+} // namespace
+
+TEST(FaultInjection, UnverifiedAfterOneAttemptWithoutReexecution)
+{
+    // Replays are deterministic, so a recovery the watchdog cut short
+    // gets no second attempt: the snapshot engine records the point
+    // as unverified without re-executing the entry program, and the
+    // point's recovery steps are those of its one attempt.
+    std::string error;
+    auto m = ir::parseModule(std::string("module \"stuckrec\"\n"
+                                         "func @work() -> i64 {\n"
+                                         "entry:\n"
+                                         "    %p = pmmap \"r\", 64\n"
+                                         "    store 1, %p, 8\n"
+                                         "    fence sfence\n"
+                                         "    durpoint \"one\"\n"
+                                         "    ret 1\n"
+                                         "}\n") +
+                                 stuckRecovery,
+                             &error);
+    ASSERT_TRUE(m) << error;
+
+    CrashExplorerConfig xc;
+    xc.entry = "work";
+    xc.recovery = "stuck";
+    xc.engine = ExploreEngine::Snapshot;
+    xc.stepBudget = 20'000;
+    const uint64_t attempt = stuckSteps(m.get(), xc.stepBudget);
+
+    LadderDelta d;
+    auto res = exploreCounting(m.get(), xc, d);
+    ASSERT_EQ(res.outcomes.size(), 1u);
+    EXPECT_TRUE(res.outcomes[0].unverified);
+    EXPECT_EQ(d.stepsExecuted, 0u);
+    EXPECT_EQ(d.timeouts, 1u);
+    EXPECT_EQ(d.unverified, 1u);
+    // The clean run's recovery plus the point's single attempt.
+    EXPECT_EQ(d.recoverySteps, 2 * attempt);
+}
+
+TEST(FaultInjection, ThreadedUnverifiedAfterOneAttempt)
+{
+    // The same ladder on the interleaving path: a thread_spawn entry
+    // whose durpoint crash cannot be recovered.
+    std::string error;
+    auto m = ir::parseModule(
+        std::string("module \"stuckthreads\"\n"
+                    "func @worker(%q: ptr) -> i64 {\n"
+                    "entry:\n"
+                    "    store 7, %q, 8\n"
+                    "    ret 0\n"
+                    "}\n"
+                    "func @work() -> i64 {\n"
+                    "entry:\n"
+                    "    %p = pmmap \"r\", 128\n"
+                    "    %q = gep %p, 64\n"
+                    "    %t = thread_spawn @worker(%q)\n"
+                    "    %r = thread_join %t\n"
+                    "    store 1, %p, 8\n"
+                    "    fence sfence\n"
+                    "    durpoint \"one\"\n"
+                    "    ret 1\n"
+                    "}\n") +
+            stuckRecovery,
+        &error);
+    ASSERT_TRUE(m) << error;
+    ASSERT_TRUE(pmcheck::moduleIsThreaded(*m));
+
+    CrashExplorerConfig xc;
+    xc.entry = "work";
+    xc.recovery = "stuck";
+    xc.stepBudget = 20'000;
+    const uint64_t attempt = stuckSteps(m.get(), xc.stepBudget);
+
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        xc.jobs = jobs;
+        LadderDelta d;
+        auto res = exploreCounting(m.get(), xc, d);
+        ASSERT_EQ(res.outcomes.size(), 1u);
+        EXPECT_FALSE(res.outcomes[0].atRace);
+        EXPECT_TRUE(res.outcomes[0].unverified);
+        EXPECT_EQ(res.schedulesDegraded, 0u);
+        EXPECT_EQ(d.stepsExecuted, 0u);
+        EXPECT_EQ(d.timeouts, 1u);
+        EXPECT_EQ(d.unverified, 1u);
+        EXPECT_EQ(d.recoverySteps, 2 * attempt);
+    }
 }
 
 TEST(FaultInjection, UnverifiedOutcomesStayJobsInvariant)

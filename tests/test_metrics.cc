@@ -2,7 +2,7 @@
  * @file
  * The hippo_metrics facility: instrument correctness, registry
  * behavior, JSON serialization/round-trip, thread-safety of the
- * shared instruments under the ThreadPool, and the determinism
+ * shared instruments under parallelFor, and the determinism
  * contract — comparable metrics recorded by the parallel pipeline
  * are identical at every `jobs` setting.
  */
@@ -15,7 +15,7 @@
 #include "pmcheck/crash_explorer.hh"
 #include "support/json.hh"
 #include "support/metrics.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 
 namespace hippo::test
 {
@@ -215,8 +215,7 @@ TEST(Metrics, InstrumentsAreThreadSafe)
     MetricsRegistry reg;
     constexpr uint64_t workers = 8, per_worker = 10000;
     // Creation races too: every worker asks for the same paths.
-    support::ThreadPool pool(4);
-    pool.parallelForEach(0, workers, [&](uint64_t) {
+    support::parallelFor(4, 0, workers, [&](uint64_t) {
         for (uint64_t i = 0; i < per_worker; i++) {
             reg.counter("shared.count").inc();
             reg.doubleSum("shared.sum").add(1.0);

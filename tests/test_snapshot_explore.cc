@@ -21,7 +21,7 @@
 #include "pmcheck/crash_explorer.hh"
 #include "pmem/pm_pool.hh"
 #include "support/metrics.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 #include "test_util.hh"
 
 namespace hippo::test
@@ -199,8 +199,7 @@ TEST(PoolSnapshot, ConcurrentForksAreIsolated)
     // the others run; COW pages keep them (and the master) isolated.
     constexpr unsigned forks = 8;
     std::vector<uint8_t> ok(forks, 0);
-    support::ThreadPool tp(4);
-    tp.parallelForEach(0, forks, [&](uint64_t f) {
+    support::parallelFor(4, 0, forks, [&](uint64_t f) {
         PmPool pool(snap);
         for (uint64_t i = 0; i < 16; i++)
             putU64(pool, base + i * 64, f * 1000 + i);

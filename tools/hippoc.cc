@@ -71,7 +71,7 @@
 #include "support/errors.hh"
 #include "support/metrics.hh"
 #include "support/strings.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel.hh"
 #include "vm/vm.hh"
 
 using namespace hippo;
@@ -375,8 +375,8 @@ processModuleImpl(const std::string &input, const Options &opt,
 }
 
 /**
- * Exception boundary per module: workers never unwind into the
- * ThreadPool. HippoError carries its own exit code; anything else
+ * Exception boundary per module: workers never unwind into
+ * parallelFor. HippoError carries its own exit code; anything else
  * escaping the pipeline is a tool bug (internal error, exit 5).
  */
 int
@@ -492,13 +492,7 @@ main(int argc, char **argv)
 
     unsigned jobs = support::resolveJobs(opt.cfg.jobs);
     jobs = (unsigned)std::min<size_t>(jobs, inputs.size());
-    if (jobs <= 1) {
-        for (uint64_t i = 0; i < inputs.size(); i++)
-            one(i);
-    } else {
-        support::ThreadPool pool(jobs);
-        pool.parallelForEach(0, inputs.size(), one);
-    }
+    support::parallelFor(jobs, 0, inputs.size(), one);
 
     int rc = 0;
     for (size_t i = 0; i < inputs.size(); i++) {

@@ -62,11 +62,10 @@ FixSummary::str() const
     return format(
         "fixed %zu bug(s) with %zu fix(es) (%zu intra, %zu inter); "
         "+%u flush(es), +%u fence(s), %u clone(s); IR %zu -> %zu "
-        "instrs; %.3fs",
+        "instrs",
         bugsFixed, fixes.size(), intraproceduralCount(),
         interproceduralCount(), flushesInserted, fencesInserted,
-        functionsCloned, irInstrsBefore, irInstrsAfter,
-        elapsedSeconds);
+        functionsCloned, irInstrsBefore, irInstrsAfter);
 }
 
 void

@@ -282,6 +282,25 @@ Module::findFunction(const std::string &name) const
     return it == byName_.end() ? nullptr : it->second;
 }
 
+bool
+moduleIsThreaded(const Module &m)
+{
+    for (const auto &f : m.functions())
+        for (const auto &bb : f->blocks())
+            for (const auto &in : *bb)
+                switch (in->op()) {
+                  case Opcode::ThreadSpawn:
+                  case Opcode::ThreadJoin:
+                  case Opcode::AtomicLoad:
+                  case Opcode::AtomicStore:
+                  case Opcode::AtomicRmw:
+                    return true;
+                  default:
+                    break;
+                }
+    return false;
+}
+
 Constant *
 Module::getInt(uint64_t value)
 {

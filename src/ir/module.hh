@@ -54,6 +54,14 @@ class Module
         constants_;
 };
 
+/**
+ * True when @p m contains a thread or atomic instruction
+ * (thread_spawn, thread_join, atomic_*). The Vm then tracks
+ * per-thread PM lines for durability races, and the crash explorer
+ * explores the schedule space instead of a single schedule.
+ */
+bool moduleIsThreaded(const Module &m);
+
 } // namespace hippo::ir
 
 #endif // HIPPO_IR_MODULE_HH

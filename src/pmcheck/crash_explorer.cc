@@ -5,14 +5,12 @@
 #include <map>
 #include <set>
 
-#include "ir/basic_block.hh"
-#include "ir/function.hh"
-#include "ir/instruction.hh"
 #include "ir/module.hh"
 #include "pmem/pm_pool.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/parallel.hh"
+#include "vm/bytecode.hh"
 #include "vm/vm.hh"
 
 namespace hippo::pmcheck
@@ -41,11 +39,11 @@ backstopMs(const CrashExplorerConfig &cfg)
 
 /**
  * The recovery half of every replay, shared by the single-schedule
- * and the interleaving path: one recovery run, one crash step, the
- * clean-run recovery, and the degradation ladder. Safe to use from
- * parallelFor workers; the wall-clock retries they count are folded
- * into the (uncomparable) explorer.wallclock.retries gauge when the
- * exploration ends.
+ * and the interleaving path: the exploration's one compiled program,
+ * one recovery run, one crash step, the clean-run recovery, and the
+ * degradation ladder. Safe to use from parallelFor workers; the
+ * wall-clock retries they count are folded into the (uncomparable)
+ * explorer.wallclock.retries gauge when the exploration ends.
  *
  * Attempts triggered by the wall clock never touch a comparable
  * counter, so every exported count stays a pure function of the
@@ -57,7 +55,13 @@ class Recovery
     Recovery(ir::Module *m, const CrashExplorerConfig &cfg)
         : m_(m), cfg_(cfg), reg_(support::MetricsRegistry::global()),
           faulting_(cfg.faults.enabled())
-    {}
+    {
+        // Every Vm of the exploration runs the module untraced, so
+        // one fused program serves them all, read-only.
+        if (vm::resolveEngine(cfg.vmEngine) == vm::VmEngine::Bytecode)
+            program_ = std::make_shared<const vm::BcProgram>(
+                vm::compileModule(*m));
+    }
 
     ~Recovery()
     {
@@ -66,6 +70,17 @@ class Recovery
             return;
         auto &g = reg_.gauge("explorer.wallclock.retries");
         g.set(g.value() + (double)n);
+    }
+
+    /** The base config of every Vm the exploration builds: the
+     *  configured engine and the shared program. */
+    vm::VmConfig
+    vmConfig() const
+    {
+        vm::VmConfig vc;
+        vc.engine = cfg_.vmEngine;
+        vc.program = program_;
+        return vc;
     }
 
     /**
@@ -78,8 +93,7 @@ class Recovery
     vm::RunResult
     recover(pmem::PmPool &pool, bool torn, bool retry) const
     {
-        vm::VmConfig vc;
-        vc.engine = cfg_.vmEngine;
+        vm::VmConfig vc = vmConfig();
         if (torn || cfg_.stepBudget || cfg_.heapBudget ||
             cfg_.timeBudgetMs) {
             vc.sandbox = true;
@@ -162,21 +176,32 @@ class Recovery
     }
 
     /**
-     * The degradation ladder for one crash point. @p attempt(retry)
-     * materializes the point's pool and recovers it (through
+     * The degradation ladder for one crash image. @p attempt(retry)
+     * materializes the image's pool and recovers it (through
      * crashAndRecover). A wall-clock timeout is a host verdict, not a
      * module verdict, so it is retried once under the deterministic
      * step cap. Any other failure is final: the replay is
-     * deterministic, so a second attempt would fail the same way, and
-     * the point is recorded as unverified instead of aborting the
-     * exploration. Returns @p o with its verdict filled in.
+     * deterministic, so a second attempt would fail the same way.
      */
     template <class Attempt>
-    CrashOutcome
-    settle(CrashOutcome o, Attempt &&attempt)
+    vm::RunResult
+    recoverImage(Attempt &&attempt)
     {
         support::ScopedTimer t(reg_.timer("explorer.replay_ns"));
-        vm::RunResult rec = retrying(attempt);
+        return retrying(attempt);
+    }
+
+    /**
+     * Give the crash point @p o the verdict of its image's recovery
+     * @p rec and charge it to the per-point counters. A failed
+     * recovery records the point as unverified instead of aborting
+     * the exploration. Every point that shares an image is charged
+     * the image's result, so the counters do not depend on how many
+     * recoveries actually ran.
+     */
+    CrashOutcome
+    charge(CrashOutcome o, vm::RunResult rec)
+    {
         if (!rec.ok()) {
             o.unverified = true;
             rec.returnValue = 0;
@@ -213,6 +238,7 @@ class Recovery
     const CrashExplorerConfig &cfg_;
     support::MetricsRegistry &reg_;
     const bool faulting_;
+    std::shared_ptr<const vm::BcProgram> program_;
     std::atomic<uint64_t> wcRetries_{0};
 };
 
@@ -259,13 +285,17 @@ faultSeed(const CrashExplorerConfig &cfg, uint64_t k)
 /** Everything the master execution captures for the replay phase. */
 struct MasterState
 {
-    /** Pool snapshot per captured durpoint / per step-stride
-     *  boundary (Fork mode). Durpoint captures are indexed through
-     *  durSlot: within the crash budget every durpoint gets a slot,
-     *  and priority-labeled durpoints are captured even beyond it
-     *  (the plan moves them ahead of the truncation line). */
-    std::vector<pmem::PmPool::Snapshot> durSnaps;
-    std::vector<pmem::PmPool::Snapshot> stepSnaps;
+    /** Fork mode: the captured pool snapshots, and the index of the
+     *  one that serves each captured durpoint / step-stride boundary.
+     *  Durpoint captures are indexed through durSlot: within the
+     *  crash budget every durpoint gets a slot, and priority-labeled
+     *  durpoints are captured even beyond it (the plan moves them
+     *  ahead of the truncation line). Without fault injection, a
+     *  boundary at the persist epoch of the last snapshot shares it:
+     *  both would crash to the same image. */
+    std::vector<pmem::PmPool::Snapshot> images;
+    std::vector<size_t> durImage;
+    std::vector<size_t> stepImage;
 
     /** Op-log cursors at the same boundaries (Log mode). */
     std::vector<size_t> durLogPos;
@@ -290,10 +320,11 @@ struct MasterState
 /**
  * The single master execution: runs the entry program while counting
  * durpoints/steps (the profile the crash plan is built from) and
- * capturing per-crash-point pool snapshots or op-log cursors, then
- * crashes the pool and runs recovery once for cleanRunRecovered.
- * With @p mode == Legacy nothing is captured — this is exactly the
- * legacy engine's profile run.
+ * capturing pool snapshots (one per persist epoch when the crash
+ * image is a function of the persistent image alone) or op-log
+ * cursors, then crashes the pool and runs recovery once for
+ * cleanRunRecovered. With @p mode == Legacy nothing is captured —
+ * this is exactly the legacy engine's profile run.
  */
 void
 masterRun(ir::Module *m, const CrashExplorerConfig &cfg,
@@ -304,8 +335,18 @@ masterRun(ir::Module *m, const CrashExplorerConfig &cfg,
     if (log)
         pool.setOpLog(log);
 
-    vm::VmConfig vc;
-    vc.engine = cfg.vmEngine;
+    // Without evictions (Fork mode) or faults, crash() keeps exactly
+    // the persistent image and the region table, so an unchanged
+    // persist epoch means an unchanged crash image.
+    const bool share = mode == ReplayMode::Fork && !cfg.faults.enabled();
+    auto capture = [&]() -> size_t {
+        if (!share || ms.images.empty() ||
+            ms.images.back().persistEpoch != pool.persistEpoch())
+            ms.images.push_back(pool.snapshot());
+        return ms.images.size() - 1;
+    };
+
+    vm::VmConfig vc = rc.vmConfig();
     vc.durPointAtExit = false;
     uint64_t durpoints = 0;
     auto isPriority = [&](const std::string &label) {
@@ -329,7 +370,7 @@ masterRun(ir::Module *m, const CrashExplorerConfig &cfg,
         ms.durSlot[n] = ms.durSteps.size();
         ms.durSteps.push_back(in_run);
         if (mode == ReplayMode::Fork)
-            ms.durSnaps.push_back(pool.snapshot());
+            ms.durImage.push_back(capture());
         else
             ms.durLogPos.push_back(log->position());
     };
@@ -337,8 +378,8 @@ masterRun(ir::Module *m, const CrashExplorerConfig &cfg,
         vc.stepProbeStride = cfg.stepStride;
         vc.stepProbe = [&](uint64_t) {
             if (mode == ReplayMode::Fork) {
-                if (ms.stepSnaps.size() < cfg.maxCrashes)
-                    ms.stepSnaps.push_back(pool.snapshot());
+                if (ms.stepImage.size() < cfg.maxCrashes)
+                    ms.stepImage.push_back(capture());
             } else {
                 if (ms.stepLogPos.size() < cfg.maxCrashes)
                     ms.stepLogPos.push_back(log->position());
@@ -515,9 +556,9 @@ exploreInterleavings(ir::Module *m, const CrashExplorerConfig &cfg)
     // ladder as the single-schedule replay path.
     auto recoverSnap = [&](const pmem::PmPool::Snapshot &snap,
                            CrashOutcome o, uint64_t fseed) {
-        return rc.settle(o, [&](bool retry) {
+        return rc.charge(o, rc.recoverImage([&](bool retry) {
             return rc.fromSnapshot(snap, fseed, retry);
-        });
+        }));
     };
 
     // ---- Plan 0: the baseline schedule, run like the master run of
@@ -534,8 +575,7 @@ exploreInterleavings(ir::Module *m, const CrashExplorerConfig &cfg)
         pmem::PmPool pool(cfg.poolBytes, cfg.evictChance,
                           planSeed(cfg, 0));
         vm::SchedulePlan plan0;
-        vm::VmConfig vc;
-        vc.engine = cfg.vmEngine;
+        vm::VmConfig vc = rc.vmConfig();
         vc.durPointAtExit = false;
         vc.schedule = &plan0;
         uint64_t durpoints = 0;
@@ -619,8 +659,7 @@ exploreInterleavings(ir::Module *m, const CrashExplorerConfig &cfg)
                           planSeed(cfg, k));
         std::vector<pmem::PmPool::Snapshot> raceSnaps;
         uint64_t races = 0;
-        vm::VmConfig vc;
-        vc.engine = cfg.vmEngine;
+        vm::VmConfig vc = rc.vmConfig();
         vc.durPointAtExit = false;
         vc.schedule = &plans[k];
         vc.racePointProbe = [&](uint64_t r, uint64_t, uint32_t,
@@ -685,25 +724,6 @@ exploreInterleavings(ir::Module *m, const CrashExplorerConfig &cfg)
 
 } // namespace
 
-bool
-moduleIsThreaded(const ir::Module &m)
-{
-    for (const auto &f : m.functions())
-        for (const auto &bb : f->blocks())
-            for (const auto &in : *bb)
-                switch (in->op()) {
-                  case ir::Opcode::ThreadSpawn:
-                  case ir::Opcode::ThreadJoin:
-                  case ir::Opcode::AtomicLoad:
-                  case ir::Opcode::AtomicStore:
-                  case ir::Opcode::AtomicRmw:
-                    return true;
-                  default:
-                    break;
-                }
-    return false;
-}
-
 uint64_t
 ExplorationResult::raceCrashCount() const
 {
@@ -765,7 +785,7 @@ exploreCrashes(ir::Module *m, const CrashExplorerConfig &cfg)
 {
     hippo_assert(!cfg.entry.empty() && !cfg.recovery.empty(),
                  "explorer needs entry and recovery");
-    if (moduleIsThreaded(*m))
+    if (ir::moduleIsThreaded(*m))
         return exploreInterleavings(m, cfg);
     ExplorationResult out;
     auto &reg = support::MetricsRegistry::global();
@@ -821,74 +841,104 @@ exploreCrashes(ir::Module *m, const CrashExplorerConfig &cfg)
         .inc(plan.size() - step_crashes);
     reg.counter("explorer.crash_points.step").inc(step_crashes);
 
-    // Each plan entry recovers on a private Vm + PmPool and writes
-    // only outcomes[k], so the merge is the plan order itself and
-    // the result is byte-identical at every jobs setting and in
-    // every replay mode. The metric instruments are shared but
-    // order-independent, so the exported counts are deterministic
-    // too; only the wall-clock timers (and the wallclock.retries
-    // gauge) vary run to run.
-    auto replay = [&](uint64_t k) {
+    // A crash point's capture slot in the master state (none in
+    // Legacy mode), and its Fork-mode snapshot.
+    auto slotOf = [&](const PlannedCrash &p) -> size_t {
+        return p.atStep ? p.crashPoint / cfg.stepStride - 1
+                        : ms.durSlot.at(p.crashPoint);
+    };
+    auto snapOf = [&](const PlannedCrash &p) {
+        size_t slot = slotOf(p);
+        return p.atStep ? ms.stepImage[slot] : ms.durImage[slot];
+    };
+
+    // Group the plan by crash image, in first-appearance plan order.
+    // In Fork mode the points that share a master snapshot share one
+    // recovery (masterRun shares a snapshot only between boundaries
+    // that crash to the same image); every other point is its own
+    // image. The grouping comes from the master run alone, so
+    // results and counters are the same at every jobs setting.
+    std::vector<size_t> imageOf(plan.size());
+    std::vector<uint64_t> firstPoint; ///< plan entry recovering image i
+    std::vector<size_t> imageOfSnap(ms.images.size(), SIZE_MAX);
+    for (uint64_t k = 0; k < plan.size(); k++) {
+        if (mode == ReplayMode::Fork) {
+            size_t &image = imageOfSnap[snapOf(plan[k])];
+            if (image == SIZE_MAX) {
+                image = firstPoint.size();
+                firstPoint.push_back(k);
+            }
+            imageOf[k] = image;
+        } else {
+            imageOf[k] = firstPoint.size();
+            firstPoint.push_back(k);
+        }
+    }
+    if (mode == ReplayMode::Fork) {
+        reg.counter("explorer.memo.images").inc(firstPoint.size());
+        reg.counter("explorer.memo.hits")
+            .inc(plan.size() - firstPoint.size());
+    }
+
+    // Each image recovers on a private Vm + PmPool and writes only
+    // results[i]. The metric instruments are shared but
+    // order-independent, so the exported counts are deterministic;
+    // only the wall-clock timers (and the wallclock.retries gauge)
+    // vary run to run.
+    std::vector<vm::RunResult> results(firstPoint.size());
+    auto replay = [&](uint64_t i) {
+        const uint64_t k = firstPoint[i];
         const PlannedCrash &p = plan[k];
         const uint64_t fseed = faultSeed(cfg, k);
+
+        // Materialize the image's pool the mode's way and recover it.
+        results[i] = rc.recoverImage([&](bool retry) -> vm::RunResult {
+            if (mode == ReplayMode::Fork)
+                return rc.fromSnapshot(ms.images[snapOf(p)], fseed,
+                                       retry);
+            pmem::PmPool pool(cfg.poolBytes, cfg.evictChance,
+                              replaySeed(cfg, k));
+            if (mode == ReplayMode::Log) {
+                log.replayTo(pool, p.atStep ? ms.stepLogPos[slotOf(p)]
+                                            : ms.durLogPos[slotOf(p)]);
+                return rc.crashAndRecover(pool, fseed, retry);
+            }
+            // Legacy: full entry re-execution with the crash knobs.
+            {
+                vm::VmConfig vc = rc.vmConfig();
+                vc.crashAtDurPoint =
+                    p.atStep ? -1 : (int64_t)p.crashPoint;
+                vc.crashAtStep = p.atStep ? p.crashPoint : 0;
+                vm::Vm machine(m, &pool, vc);
+                uint64_t steps =
+                    machine.run(cfg.entry, cfg.entryArgs).steps;
+                if (!retry)
+                    reg.counter("explorer.replay.steps_executed")
+                        .inc(steps);
+            }
+            return rc.crashAndRecover(pool, fseed, retry);
+        });
+    };
+    support::parallelFor(cfg.jobs, 0, firstPoint.size(), replay);
+
+    // Every point gets its image's verdict, in plan order. Outside
+    // Legacy mode it also saves the entry-run steps a legacy replay
+    // of it executes: a step crash stops at exactly crashPoint steps;
+    // a durpoint crash stops inside the durpoint instruction, whose
+    // in-run step the master recorded.
+    uint64_t steps_saved = 0;
+    for (uint64_t k = 0; k < plan.size(); k++) {
+        const PlannedCrash &p = plan[k];
         CrashOutcome o;
         o.atStep = p.atStep;
         o.crashPoint = p.crashPoint;
-
-        // The master's capture slot for this point, and the entry-run
-        // steps a legacy replay of it executes (a step crash stops at
-        // exactly crashPoint steps; a durpoint crash stops inside the
-        // durpoint instruction, whose in-run step the master
-        // recorded). Neither exists in Legacy mode.
-        size_t slot = 0;
-        uint64_t legacy_steps = 0;
-        if (mode != ReplayMode::Legacy) {
-            slot = p.atStep ? p.crashPoint / cfg.stepStride - 1
-                            : ms.durSlot.at(p.crashPoint);
-            legacy_steps = p.atStep ? p.crashPoint : ms.durSteps[slot];
-        }
-
-        // Materialize this crash point's pool the mode's way and
-        // recover it once.
-        out.outcomes[k] = rc.settle(o, [&](bool retry) -> vm::RunResult {
-            if (mode == ReplayMode::Legacy) {
-                // Full entry re-execution with the crash knobs.
-                pmem::PmPool pool(cfg.poolBytes, cfg.evictChance,
-                                  replaySeed(cfg, k));
-                {
-                    vm::VmConfig vc;
-                    vc.engine = cfg.vmEngine;
-                    vc.crashAtDurPoint =
-                        p.atStep ? -1 : (int64_t)p.crashPoint;
-                    vc.crashAtStep = p.atStep ? p.crashPoint : 0;
-                    vm::Vm machine(m, &pool, vc);
-                    uint64_t steps =
-                        machine.run(cfg.entry, cfg.entryArgs).steps;
-                    if (!retry)
-                        reg.counter("explorer.replay.steps_executed")
-                            .inc(steps);
-                }
-                return rc.crashAndRecover(pool, fseed, retry);
-            }
-            vm::RunResult rec;
-            if (mode == ReplayMode::Fork) {
-                rec = rc.fromSnapshot(p.atStep ? ms.stepSnaps[slot]
-                                               : ms.durSnaps[slot],
-                                      fseed, retry);
-            } else {
-                pmem::PmPool pool(cfg.poolBytes, cfg.evictChance,
-                                  replaySeed(cfg, k));
-                log.replayTo(pool, p.atStep ? ms.stepLogPos[slot]
-                                            : ms.durLogPos[slot]);
-                rec = rc.crashAndRecover(pool, fseed, retry);
-            }
-            if (!retry)
-                reg.counter("explorer.replay.steps_saved")
-                    .inc(legacy_steps);
-            return rec;
-        });
-    };
-    support::parallelFor(cfg.jobs, 0, plan.size(), replay);
+        out.outcomes[k] = rc.charge(o, results[imageOf[k]]);
+        if (mode != ReplayMode::Legacy)
+            steps_saved += p.atStep ? p.crashPoint
+                                    : ms.durSteps[slotOf(p)];
+    }
+    if (mode != ReplayMode::Legacy && !plan.empty())
+        reg.counter("explorer.replay.steps_saved").inc(steps_saved);
     return out;
 }
 

@@ -16,12 +16,19 @@
  * Two engines produce byte-identical ExplorationResults (DESIGN.md
  * "Snapshot replay engine"):
  *  - the *snapshot* engine (default) runs the entry program once,
- *    forking a copy-on-write pool snapshot at every planned crash
- *    point (or, under eviction injection, replaying a recorded
+ *    forking a copy-on-write pool snapshot at the planned crash
+ *    points (or, under eviction injection, replaying a recorded
  *    pool-op log prefix per point), so only recovery executes per
- *    crash — O(S + C·R) VM steps instead of O(C·S);
+ *    crash — O(S + C·R) VM steps instead of O(C·S). Without
+ *    evictions or faults, a crash image is a function of the pool's
+ *    persistent image and region table, so the master run takes one
+ *    snapshot per persist epoch and each distinct image recovers
+ *    once — O(S + I·R) for I distinct images;
  *  - the *legacy* engine re-executes the entry run once per crash
  *    point, kept for differential testing.
+ *
+ * Either way the module is compiled to bytecode once per
+ * exploration, and every Vm shares that program read-only.
  */
 
 #ifndef HIPPO_PMCHECK_CRASH_EXPLORER_HH
@@ -53,7 +60,10 @@ enum class ExploreEngine : uint8_t
      * snapshot (evictChance == 0) or replay the recorded pool-op
      * log prefix against a per-point-seeded pool (evictChance > 0,
      * falling back to Legacy replays if the log overflows its byte
-     * budget). Results are byte-identical to Legacy in both modes.
+     * budget). In the fork mode without faults, crash points whose
+     * pool has the same persist epoch share one snapshot and one
+     * recovery, and each point is charged that recovery's result.
+     * Results are byte-identical to Legacy in every mode.
      */
     Snapshot,
 };
@@ -168,7 +178,7 @@ struct CrashExplorerConfig
      * @name Interleaving-bounded exploration (threaded modules)
      *
      * When the module contains thread/atomic instructions
-     * (moduleIsThreaded) the explorer explores the schedule space
+     * (ir::moduleIsThreaded) the explorer explores the schedule space
      * instead of the single-schedule crash plan: enumerate
      * vm::SchedulePlans with up to `preemptBound` forced
      * preemptions (Chess-style), in lexicographic order over the
@@ -248,10 +258,6 @@ struct ExplorationResult
     /** Crash points recorded as unverified. */
     uint64_t unverifiedCount() const;
 };
-
-/** True when @p m contains thread or atomic instructions — the
- *  explorer then runs interleaving-bounded exploration. */
-bool moduleIsThreaded(const ir::Module &m);
 
 /**
  * Run the exploration. The module is not modified; with `jobs > 1`

@@ -274,7 +274,8 @@ PmPool::PmPool(const Snapshot &s)
       dirtyPos_(s.capacity / cacheLineSize),
       wbQueue_(s.wbQueue), regions_(s.regions),
       allocCursor_(s.allocCursor), evictChance_(s.evictChance),
-      rng_(s.rng), stats_(s.stats)
+      rng_(s.rng), stats_(s.stats), epoch_(s.persistEpoch),
+      epochMax_(s.persistEpoch)
 {
     hippo_assert(capacity_ > 0, "empty snapshot");
     for (uint32_t p = 0; p < dirtyLines_.size(); p++)
@@ -341,6 +342,7 @@ PmPool::mapRegion(const std::string &name, uint64_t size)
     PmRegion r{name, pmBaseAddr + allocCursor_, size};
     allocCursor_ += aligned;
     regions_[name] = r;
+    bumpEpoch();
     return r.base;
 }
 
@@ -445,6 +447,7 @@ PmPool::persistLine(uint64_t line, const uint8_t *snapshot)
 {
     stats_.pagesCopied += persistImage_.write(line * cacheLineSize,
                                               snapshot, cacheLineSize);
+    bumpEpoch();
 }
 
 void
@@ -522,6 +525,7 @@ PmPool::applyCrashFaults()
             }
             stats_.pagesCopied += persistImage_.write(
                 line * cacheLineSize + c * chunk, buf, chunk);
+            bumpEpoch();
             stats_.tornChunks++;
             any = true;
         }
@@ -568,6 +572,7 @@ PmPool::snapshot()
     s.evictChance = evictChance_;
     s.rng = rng_;
     s.stats = stats_;
+    s.persistEpoch = epoch_;
     return s;
 }
 
@@ -586,6 +591,9 @@ PmPool::restoreFrom(const Snapshot &s)
     rng_ = s.rng;
     stats_ = s.stats;
     stats_.restores++;
+    // The restored image may differ from every image this pool held
+    // since the snapshot, so take an epoch none of them had.
+    bumpEpoch();
 }
 
 void

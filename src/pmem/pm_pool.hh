@@ -330,6 +330,7 @@ class PmPool
         double evictChance = 0;
         Rng rng{1};
         PmPoolStats stats;
+        uint64_t persistEpoch = 0;
     };
 
     /**
@@ -341,7 +342,8 @@ class PmPool
     explicit PmPool(uint64_t capacity, double evict_chance = 0.0,
                     uint64_t seed = 1);
 
-    /** Fork: a pool whose state is @p s (stats included). */
+    /** Fork: a pool whose state is @p s (stats and persist epoch
+     *  included). */
     explicit PmPool(const Snapshot &s);
 
     /**
@@ -426,6 +428,17 @@ class PmPool
     void resetStats() { stats_ = PmPoolStats(); }
 
     /**
+     * A counter that rises whenever what a crash would leave behind
+     * may change: every write to the persistent image (CLFLUSH,
+     * fence drain, eviction, torn crash chunks) and every newly
+     * mapped region. restoreFrom() moves it to a value this pool has
+     * never held, so within one pool's history two equal epochs mean
+     * an identical persistent image and region table. Values are not
+     * comparable across pools.
+     */
+    uint64_t persistEpoch() const { return epoch_; }
+
+    /**
      * Accumulate this pool's operation and line-state-transition
      * counters into @p reg under "<prefix>.". Deterministic: every
      * value is an order-independent sum.
@@ -451,6 +464,7 @@ class PmPool
     void adoptDirty(const std::vector<uint32_t> &lines);
 
     void persistLine(uint64_t line, const uint8_t *snapshot);
+    void bumpEpoch() { epoch_ = ++epochMax_; }
     void maybeEvict();
     void applyCrashFaults();
 
@@ -476,6 +490,9 @@ class PmPool
     FaultPlan faultPlan_;
     PmPoolStats stats_;
     PmOpLog *opLog_ = nullptr;
+
+    uint64_t epoch_ = 0;    ///< see persistEpoch()
+    uint64_t epochMax_ = 0; ///< largest epoch this pool has held
 };
 
 } // namespace hippo::pmem

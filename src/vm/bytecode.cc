@@ -1,5 +1,7 @@
 #include "vm/bytecode.hh"
 
+#include <atomic>
+
 #include "ir/basic_block.hh"
 #include "ir/function.hh"
 #include "ir/module.hh"
@@ -401,11 +403,20 @@ FunctionCompiler::compile()
 
 } // namespace
 
+namespace
+{
+
+std::atomic<uint64_t> compileCalls{0};
+
+} // namespace
+
 BcProgram
 compileModule(const ir::Module &m, const BcOptions &opts)
 {
+    compileCalls.fetch_add(1, std::memory_order_relaxed);
     BcProgram prog;
     prog.options = opts;
+    prog.threaded = ir::moduleIsThreaded(m);
     // Index every function first so Call lowering can resolve
     // callees in any order.
     for (const auto &f : m.functions())
@@ -419,6 +430,12 @@ compileModule(const ir::Module &m, const BcOptions &opts)
         prog.totalFused += bf.fused;
     }
     return prog;
+}
+
+uint64_t
+compileModuleCalls()
+{
+    return compileCalls.load(std::memory_order_relaxed);
 }
 
 namespace

@@ -179,6 +179,8 @@ struct BcProgram
     uint64_t totalInstrs = 0; ///< IR instructions compiled
     uint64_t totalCode = 0;   ///< bytecode records emitted
     uint64_t totalFused = 0;  ///< superinstructions emitted
+
+    bool threaded = false; ///< ir::moduleIsThreaded of the source
 };
 
 /**
@@ -189,6 +191,10 @@ struct BcProgram
  * same program.
  */
 BcProgram compileModule(const ir::Module &m, const BcOptions &opts = {});
+
+/** compileModule calls so far in this process (a test probe for
+ *  "compile once per exploration"). */
+uint64_t compileModuleCalls();
 
 /** Stable textual listing (golden-tested; see tests/golden/). */
 std::string disassemble(const BcProgram &prog);

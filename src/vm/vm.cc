@@ -128,10 +128,14 @@ struct Vm::SchedState
 };
 
 Vm::Vm(ir::Module *module, pmem::PmPool *pool, VmConfig cfg)
-    : module_(module), pool_(pool), cfg_(cfg),
-      volatileMem_(cfg.volatileBytes),
-      volatileLimit_(cfg.volatileBytes)
-{}
+    : module_(module), pool_(pool), cfg_(std::move(cfg)),
+      volatileMem_(cfg_.volatileBytes),
+      volatileLimit_(cfg_.volatileBytes)
+{
+    if (cfg_.program &&
+        cfg_.program->options.enableSuper == !cfg_.traceEnabled)
+        program_ = cfg_.program;
+}
 
 Vm::~Vm()
 {
@@ -142,20 +146,26 @@ Vm::~Vm()
 }
 
 VmEngine
-Vm::engineResolved() const
+resolveEngine(VmEngine e)
 {
-    if (cfg_.engine != VmEngine::Auto)
-        return cfg_.engine;
+    if (e != VmEngine::Auto)
+        return e;
     // Auto resolves to the fast path; HIPPO_VM_ENGINE=tree is the
     // escape hatch for A/B debugging without recompiling callers.
     static const VmEngine auto_engine = [] {
         const char *v = std::getenv("HIPPO_VM_ENGINE");
-        VmEngine e = VmEngine::Bytecode;
-        if (v && parseVmEngine(v, e) && e == VmEngine::Auto)
-            e = VmEngine::Bytecode;
-        return e;
+        VmEngine r = VmEngine::Bytecode;
+        if (v && parseVmEngine(v, r) && r == VmEngine::Auto)
+            r = VmEngine::Bytecode;
+        return r;
     }();
     return auto_engine;
+}
+
+VmEngine
+Vm::engineResolved() const
+{
+    return resolveEngine(cfg_.engine);
 }
 
 void
@@ -166,7 +176,7 @@ Vm::ensureProgram()
         return;
     BcOptions opts;
     opts.enableSuper = want_super;
-    program_ = std::make_unique<BcProgram>(
+    program_ = std::make_shared<const BcProgram>(
         compileModule(*module_, opts));
     fastCompiles_++;
 }
@@ -1387,7 +1397,8 @@ Vm::exportMetrics(support::MetricsRegistry &reg,
     reg.counter(prefix + ".fast.dispatches").inc(fastDispatches_);
     reg.counter(prefix + ".fast.superinstructions").inc(fastSuper_);
     reg.counter(prefix + ".fast.compiles").inc(fastCompiles_);
-    if (program_) {
+    // A shared program's compile belongs to whoever compiled it.
+    if (program_ && program_ != cfg_.program) {
         reg.counter(prefix + ".fast.compiled.instrs")
             .inc(program_->totalInstrs);
         reg.counter(prefix + ".fast.compiled.bytecode")
@@ -1412,28 +1423,15 @@ Vm::run(const std::string &function, std::vector<uint64_t> args)
     raceSeq_ = 0;
     curDirtyLines_.clear();
     curFlushedLines_.clear();
-    if (lineTracking_ < 0) {
-        // Line tracking costs a set insert per PM store, so it is
-        // only armed for modules that can exhibit cross-thread
-        // durability races at all.
-        lineTracking_ = 0;
-        for (const auto &f : module_->functions()) {
-            for (const auto &bb : f->blocks()) {
-                for (const auto &in : *bb) {
-                    switch (in->op()) {
-                      case Opcode::ThreadSpawn:
-                      case Opcode::AtomicLoad:
-                      case Opcode::AtomicStore:
-                      case Opcode::AtomicRmw:
-                        lineTracking_ = 1;
-                        break;
-                      default:
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    const bool fast = engineResolved() == VmEngine::Bytecode;
+    if (fast)
+        ensureProgram();
+    // Line tracking costs a set insert per PM store, so it is only
+    // armed for modules that can exhibit cross-thread durability
+    // races at all; a compiled program records that once.
+    if (lineTracking_ < 0)
+        lineTracking_ = fast ? program_->threaded
+                             : ir::moduleIsThreaded(*module_);
     lineTrackingEnabled_ = lineTracking_ == 1;
     double nanos_before = simNanos_;
     uint64_t steps_before = steps_;
@@ -1449,8 +1447,7 @@ Vm::run(const std::string &function, std::vector<uint64_t> args)
                                function.c_str()));
         hippo_assert(args.size() == f->numParams(),
                      "run() arity mismatch");
-        if (engineResolved() == VmEngine::Bytecode) {
-            ensureProgram();
+        if (fast) {
             fastRuns_++;
             // Destroyed (merging its flat counters into the maps)
             // during unwinding, before the handlers below run.

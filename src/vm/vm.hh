@@ -91,6 +91,10 @@ enum class VmEngine : uint8_t
 
 const char *vmEngineName(VmEngine e);
 
+/** The engine @p e runs with: Auto resolves to Bytecode unless
+ *  HIPPO_VM_ENGINE says "tree". */
+VmEngine resolveEngine(VmEngine e);
+
 /** Parse "tree" / "bytecode" / "auto"; false on anything else. */
 bool parseVmEngine(const std::string &s, VmEngine &out);
 
@@ -180,6 +184,15 @@ struct VmConfig
 
     /** Interpreter selection (see VmEngine). */
     VmEngine engine = VmEngine::Auto;
+
+    /**
+     * A compiled program of the module, shared read-only between
+     * every Vm that runs it (the crash explorer compiles once per
+     * exploration). The Vm compiles for itself instead when this is
+     * null or its superinstruction setting does not match the run's
+     * (fusion is off when tracing).
+     */
+    std::shared_ptr<const BcProgram> program;
 
     /**
      * @name Watchdog sandbox (DESIGN.md "Fault model & graceful
@@ -523,8 +536,9 @@ class Vm
     std::map<ir::FenceKind, uint64_t> fenceCounts_;
     int64_t durPointsSeen_ = 0;
 
-    /** Lazily compiled bytecode (fast engine only). */
-    std::unique_ptr<BcProgram> program_;
+    /** Bytecode (fast engine only): VmConfig::program, or compiled
+     *  lazily by this Vm. */
+    std::shared_ptr<const BcProgram> program_;
 
     /// @name Engine census (vm.tree.* / vm.fast.* counters)
     /// @{

@@ -519,7 +519,7 @@ TEST(FaultInjection, ThreadedUnverifiedAfterOneAttempt)
             stuckRecovery,
         &error);
     ASSERT_TRUE(m) << error;
-    ASSERT_TRUE(pmcheck::moduleIsThreaded(*m));
+    ASSERT_TRUE(ir::moduleIsThreaded(*m));
 
     CrashExplorerConfig xc;
     xc.entry = "work";

@@ -320,4 +320,17 @@ TEST(Fixer, SummaryCountsAreConsistent)
     EXPECT_GT(s.irInstrsAfter, s.irInstrsBefore);
 }
 
+TEST(Fixer, SummaryStringIsIndependentOfWallTime)
+{
+    // hippoc prints the summary to stdout, so two runs of one module
+    // must print the same bytes; the wall time stays in the
+    // fixer.run_ns timer.
+    auto m = buildListing5(false);
+    core::FixSummary a = runPipeline(m.get(), "foo").summary;
+    core::FixSummary b = a;
+    a.elapsedSeconds = 0.0;
+    b.elapsedSeconds = 0.004;
+    EXPECT_EQ(a.str(), b.str());
+}
+
 } // namespace hippo::test

@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "pmem/pm_pool.hh"
 #include "support/errors.hh"
+#include "support/random.hh"
 
 namespace hippo::test
 {
@@ -318,6 +321,125 @@ TEST(PmPool, CapacityIsRoundedAndEnforced)
     // The failed mapping must not have corrupted the region table.
     EXPECT_NE(pool.findRegion("a"), nullptr);
     EXPECT_EQ(pool.findRegion("c"), nullptr);
+}
+
+TEST(PmPool, PersistEpochRisesWhenTheCrashImageMayChange)
+{
+    PmPool pool(1 << 16);
+    uint64_t last = pool.persistEpoch();
+    // True when the epoch moved since the previous call.
+    auto moved = [&] {
+        uint64_t now = pool.persistEpoch();
+        bool m = now != last;
+        EXPECT_GE(now, last);
+        last = now;
+        return m;
+    };
+
+    uint64_t a = pool.mapRegion("r", 256);
+    EXPECT_TRUE(moved()) << "new region";
+    pool.mapRegion("r", 256);
+    EXPECT_FALSE(moved()) << "re-mapped region";
+    store64(pool, a, 1);
+    EXPECT_FALSE(moved()) << "store";
+    pool.fence();
+    EXPECT_FALSE(moved()) << "empty fence";
+    pool.flush(a + 64, FlushOp::Clwb);
+    EXPECT_FALSE(moved()) << "flush of a clean line";
+    pool.flush(a, FlushOp::ClflushOpt);
+    EXPECT_FALSE(moved()) << "queued write-back";
+    pool.fence();
+    EXPECT_TRUE(moved()) << "fence draining a line";
+    store64(pool, a, 2);
+    pool.flush(a, FlushOp::Clflush);
+    EXPECT_TRUE(moved()) << "CLFLUSH of a dirty line";
+    pool.store(a + 128, reinterpret_cast<const uint8_t *>("nt-bytes"), 8,
+               true);
+    EXPECT_FALSE(moved()) << "non-temporal store";
+    pool.fence();
+    EXPECT_TRUE(moved()) << "fence draining a non-temporal store";
+    pool.crash();
+    EXPECT_FALSE(moved()) << "fault-free crash";
+
+    PmPool evicting(1 << 16, 1.0, 7);
+    uint64_t b = evicting.mapRegion("r", 64);
+    uint64_t before = evicting.persistEpoch();
+    store64(evicting, b, 3);
+    EXPECT_EQ(evicting.stats().evictions, 1u);
+    EXPECT_GT(evicting.persistEpoch(), before) << "eviction";
+}
+
+TEST(PmPool, PersistEpochNeverRepeatsAfterRestore)
+{
+    PmPool pool(1 << 16);
+    uint64_t a = pool.mapRegion("r", 256);
+    std::set<uint64_t> seen = {0, pool.persistEpoch()};
+    auto persist = [&](uint64_t v) {
+        store64(pool, a, v);
+        pool.flush(a, FlushOp::Clflush);
+        EXPECT_TRUE(seen.insert(pool.persistEpoch()).second);
+    };
+    persist(1);
+    PmPool::Snapshot snap = pool.snapshot();
+    persist(2);
+    persist(3);
+    for (int round = 0; round < 3; round++) {
+        pool.restoreFrom(snap);
+        EXPECT_TRUE(seen.insert(pool.persistEpoch()).second)
+            << "round " << round;
+        persist(10 + round);
+    }
+}
+
+TEST(PmPool, EqualPersistEpochsMeanEqualPersistentImages)
+{
+    // A seeded mix of every pool operation, with a snapshot after
+    // each: any two snapshots of one epoch hold the same persistent
+    // image and region table.
+    PmPool pool(1 << 16);
+    Rng rng(42);
+    std::vector<PmPool::Snapshot> snaps;
+    uint64_t base = pool.mapRegion("r0", 4096);
+    for (int i = 0; i < 400; i++) {
+        uint64_t addr = base + rng.nextBelow(4096 / 8) * 8;
+        switch (rng.nextBelow(8)) {
+          case 0:
+          case 1:
+          case 2:
+            store64(pool, addr, rng.next());
+            break;
+          case 3:
+            pool.flush(addr, FlushOp::Clwb);
+            break;
+          case 4:
+            pool.flush(addr, FlushOp::Clflush);
+            break;
+          case 5:
+            pool.fence();
+            break;
+          case 6:
+            pool.mapRegion("r" + std::to_string(rng.nextBelow(4)), 4096);
+            break;
+          default:
+            if (!snaps.empty())
+                pool.restoreFrom(snaps[rng.nextBelow(snaps.size())]);
+            break;
+        }
+        snaps.push_back(pool.snapshot());
+    }
+    uint64_t pairs = 0;
+    for (size_t i = 0; i < snaps.size(); i++) {
+        for (size_t j = i + 1; j < snaps.size(); j++) {
+            if (snaps[i].persistEpoch != snaps[j].persistEpoch)
+                continue;
+            pairs++;
+            EXPECT_TRUE(snaps[i].persist.rangeEquals(snaps[j].persist, 0,
+                                                     pool.capacity()))
+                << i << " vs " << j;
+            EXPECT_EQ(snaps[i].regions.size(), snaps[j].regions.size());
+        }
+    }
+    EXPECT_GT(pairs, 0u);
 }
 
 } // namespace hippo::test

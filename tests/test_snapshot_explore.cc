@@ -5,24 +5,29 @@
  * isolation between concurrently running forks, byte-identical
  * ExplorationResults between the legacy per-replay engine and the
  * snapshot engine in both eviction modes and at several jobs
- * settings, and the deterministic steps-saved accounting the
- * bench gate relies on. Runs under TSAN in CI alongside
- * test_parallel.
+ * settings, the deterministic steps-saved accounting the bench
+ * gate relies on, and the fault-free fork leg's one recovery per
+ * distinct crash image and one compile per exploration. Runs under
+ * TSAN in CI alongside test_parallel.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 
 #include "apps/bugsuite.hh"
 #include "apps/pclht.hh"
+#include "apps/pmcache.hh"
 #include "apps/pmlog.hh"
+#include "apps/racekv.hh"
 #include "core/fixer.hh"
 #include "pmcheck/crash_explorer.hh"
 #include "pmem/pm_pool.hh"
 #include "support/metrics.hh"
 #include "support/parallel.hh"
 #include "test_util.hh"
+#include "vm/bytecode.hh"
 
 namespace hippo::test
 {
@@ -432,6 +437,207 @@ TEST(SnapshotEngine, FixerVerifyFixedUsesFastPath)
               (double)res.outcomes.size());
     EXPECT_GT(delta["explorer.replay.steps_saved"], 0.0);
     EXPECT_EQ(delta["explorer.replay.steps_executed"], 0.0);
+}
+
+namespace
+{
+
+/** One explored program of the memo tests. */
+struct MemoCase
+{
+    std::string name;
+    std::unique_ptr<ir::Module> module;
+    CrashExplorerConfig config;
+    /** A recovery step budget below some of the program's recoveries
+     *  (pmlog/buggy persists nothing, so its recoveries all fit). */
+    uint64_t tightBudget = 0;
+};
+
+/** pmlog, P-CLHT and pmcache (small tables, so recovery is short),
+ *  buggy and repaired, each explored at every durpoint and a step
+ *  stride. */
+std::vector<MemoCase>
+memoCases()
+{
+    std::vector<MemoCase> cases;
+    auto add = [&](std::string name, std::unique_ptr<ir::Module> m,
+                   const char *entry, uint64_t arg, const char *recovery,
+                   uint64_t tight_budget, bool repair) {
+        if (repair)
+            runPipelineWithArg(m.get(), entry, arg);
+        MemoCase c;
+        c.name = name + (repair ? "/repaired" : "/buggy");
+        c.module = std::move(m);
+        c.config.entry = entry;
+        c.config.entryArgs = {arg};
+        c.config.recovery = recovery;
+        c.config.stepStride = 29;
+        c.tightBudget = tight_budget;
+        cases.push_back(std::move(c));
+    };
+    for (bool repair : {false, true}) {
+        add("pmlog", apps::buildPmlog({}), "log_example", 8, "log_walk",
+            100, repair);
+        apps::PclhtConfig hc;
+        hc.buckets = 16;
+        add("pclht", apps::buildPclht(hc), "clht_example", 8,
+            "clht_recover", 300, repair);
+        apps::PmcacheConfig mc;
+        mc.buckets = 16;
+        mc.items = 64;
+        add("pmcache", apps::buildPmcache(mc), "mc_example", 8,
+            "mc_recover", 400, repair);
+    }
+    return cases;
+}
+
+/** Explore @p m under @p cfg; @p delta gets the metric delta. */
+ExplorationResult
+exploreMeasured(ir::Module *m, const CrashExplorerConfig &cfg,
+                std::map<std::string, double> &delta)
+{
+    auto before = metricSnapshot();
+    ExplorationResult res = exploreCrashes(m, cfg);
+    delta = metricDelta(before, metricSnapshot());
+    return res;
+}
+
+} // namespace
+
+TEST(SnapshotEngine, MemoMatchesLegacyWithAndWithoutStepBudget)
+{
+    // Sharing one recovery between the crash points of one image must
+    // change nothing a caller sees: the result, and every per-point
+    // counter (each point is charged its image's recovery).
+    uint64_t mixed = 0; // explorations with verified and unverified points
+    for (MemoCase &c : memoCases()) {
+        for (uint64_t budget : {uint64_t(0), c.tightBudget}) {
+            CrashExplorerConfig cfg = c.config;
+            cfg.stepBudget = budget;
+            cfg.engine = ExploreEngine::Legacy;
+            cfg.jobs = 1;
+            std::map<std::string, double> legacy_delta;
+            ExplorationResult legacy =
+                exploreMeasured(c.module.get(), cfg, legacy_delta);
+            uint64_t unverified = legacy.unverifiedCount();
+            if (!budget)
+                EXPECT_EQ(unverified, 0u) << c.name;
+            mixed += unverified > 0 && unverified < legacy.outcomes.size();
+            cfg.engine = ExploreEngine::Snapshot;
+            for (unsigned jobs : {1u, 4u}) {
+                cfg.jobs = jobs;
+                std::map<std::string, double> d;
+                ExplorationResult snap =
+                    exploreMeasured(c.module.get(), cfg, d);
+                std::string where = c.name + " budget=" +
+                                    std::to_string(budget) +
+                                    " jobs=" + std::to_string(jobs);
+                EXPECT_EQ(legacy, snap) << where;
+                EXPECT_EQ(pmcheck::recoveryDigest(legacy),
+                          pmcheck::recoveryDigest(snap))
+                    << where;
+                for (const char *k :
+                     {"explorer.recovery.steps", "explorer.recovered.count",
+                      "explorer.recovered.sum",
+                      "explorer.degraded.unverified",
+                      "explorer.degraded.timeout",
+                      "explorer.crash_points.total"})
+                    EXPECT_EQ(legacy_delta[k], d[k]) << where << " " << k;
+            }
+        }
+    }
+    // Some tight budget splits one exploration's points.
+    EXPECT_GT(mixed, 0u);
+}
+
+TEST(SnapshotEngine, MemoHitsAreCrashPointsMinusDistinctEpochs)
+{
+    for (MemoCase &c : memoCases()) {
+        // The persist epoch at every crash boundary, from a probe run
+        // of the entry program.
+        std::map<uint64_t, uint64_t> dur_epoch, step_epoch;
+        {
+            PmPool pool(c.config.poolBytes);
+            vm::VmConfig vc;
+            vc.durPointAtExit = false;
+            vc.durPointProbe = [&](uint64_t n, uint64_t,
+                                   const std::string &) {
+                dur_epoch[n] = pool.persistEpoch();
+            };
+            vc.stepProbeStride = c.config.stepStride;
+            vc.stepProbe = [&](uint64_t step) {
+                step_epoch[step] = pool.persistEpoch();
+            };
+            vm::Vm machine(c.module.get(), &pool, vc);
+            machine.run(c.config.entry, c.config.entryArgs);
+        }
+
+        CrashExplorerConfig cfg = c.config;
+        cfg.jobs = 1;
+        std::map<std::string, double> d;
+        ExplorationResult res = exploreMeasured(c.module.get(), cfg, d);
+        std::set<uint64_t> epochs;
+        for (const pmcheck::CrashOutcome &o : res.outcomes)
+            epochs.insert(o.atStep ? step_epoch.at(o.crashPoint)
+                                   : dur_epoch.at(o.crashPoint));
+        double points = (double)res.outcomes.size();
+        EXPECT_GT(points, (double)epochs.size()) << c.name;
+        EXPECT_EQ(d["explorer.memo.images"], (double)epochs.size())
+            << c.name;
+        EXPECT_EQ(d["explorer.memo.hits"], points - (double)epochs.size())
+            << c.name;
+        EXPECT_EQ(d["explorer.snapshot.count"], (double)epochs.size())
+            << c.name;
+    }
+}
+
+TEST(SnapshotEngine, CompilesOncePerExploration)
+{
+    auto log = apps::buildPmlog({});
+    CrashExplorerConfig xc;
+    xc.entry = "log_example";
+    xc.entryArgs = {6};
+    xc.recovery = "log_walk";
+    xc.stepStride = 41;
+    xc.vmEngine = vm::VmEngine::Bytecode;
+
+    auto compiles = [](ir::Module *m, const CrashExplorerConfig &cfg) {
+        uint64_t before = vm::compileModuleCalls();
+        exploreCrashes(m, cfg);
+        return vm::compileModuleCalls() - before;
+    };
+
+    // Every replay mode: fork, op log, legacy, and fork under faults.
+    for (unsigned jobs : {1u, 4u}) {
+        xc.jobs = jobs;
+        EXPECT_EQ(compiles(log.get(), xc), 1u) << "fork";
+        CrashExplorerConfig evict = xc;
+        evict.evictChance = 0.01;
+        EXPECT_EQ(compiles(log.get(), evict), 1u) << "oplog";
+        CrashExplorerConfig legacy = xc;
+        legacy.engine = ExploreEngine::Legacy;
+        EXPECT_EQ(compiles(log.get(), legacy), 1u) << "legacy";
+        CrashExplorerConfig torn = xc;
+        torn.faults.tornChance = 0.5;
+        EXPECT_EQ(compiles(log.get(), torn), 1u) << "faults";
+    }
+
+    // The interleaving path: baseline, schedule plans and race forks.
+    apps::RaceKvBuild b;
+    b.slots = 2;
+    auto race = apps::buildRaceKv(b);
+    CrashExplorerConfig rc;
+    rc.entry = apps::raceKvEntry;
+    rc.recovery = apps::raceKvRecovery;
+    rc.poolBytes = apps::raceKvPoolBytes;
+    rc.schedules = 4;
+    rc.jobs = 4;
+    rc.vmEngine = vm::VmEngine::Bytecode;
+    EXPECT_EQ(compiles(race.get(), rc), 1u) << "interleavings";
+
+    // The tree walker compiles nothing.
+    xc.vmEngine = vm::VmEngine::Tree;
+    EXPECT_EQ(compiles(log.get(), xc), 0u) << "tree";
 }
 
 } // namespace hippo::test

@@ -35,7 +35,7 @@ using apps::RaceKvBuild;
 using pmcheck::CrashExplorerConfig;
 using pmcheck::exploreCrashes;
 using pmcheck::ExplorationResult;
-using pmcheck::moduleIsThreaded;
+using ir::moduleIsThreaded;
 using pmcheck::recoveryDigest;
 
 namespace

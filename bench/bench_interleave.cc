@@ -2,15 +2,17 @@
  * @file
  * Interleaving-bounded exploration bench: explores the racekv
  * publisher/consumer app (one seeded cross-thread durability race,
- * one seeded single-thread missing-flush&fence) over the bounded
- * schedule set, under the torn-store fault model, at jobs = 1, 4, and
- * in both interpreter engines.
+ * one seeded single-thread missing-flush&fence; 4 published slots)
+ * over a bounded set of 24 schedules, under the torn-store fault
+ * model, at jobs = 1, 4, and in both interpreter engines.
  *
  * Gates (deterministic, counter-based — wall time is reported but
  * never enforced):
  *   - every jobs/engine combination must return a result
  *     byte-identical to the jobs=1 Tree reference (the acceptance
- *     gate of the thread-model milestone);
+ *     gate of the thread-model milestone), and to that reference's
+ *     frozen verdict (tests/golden/tree_walker_verdicts.txt;
+ *     HIPPO_REGEN_GOLDEN=1 rewrites it);
  *   - the buggy build must actually race: >= 1 cross-thread race
  *     observed and >= 1 race-forked crash image recovered;
  *   - the developer-fixed build must be completely quiet: zero
@@ -18,9 +20,8 @@
  *     recovery;
  *   - no schedule may degrade on either build at the default
  *     budgets.
- *
- * Knobs: HIPPO_INTERLEAVE_SLOTS (published slots, default 4),
- *        HIPPO_INTERLEAVE_SCHEDULES (plan budget, default 24).
+ * *
+ * The workload has no size knobs: the frozen verdict fixes it.
  */
 
 #include <cstdio>
@@ -31,6 +32,7 @@
 #include "bench_util.hh"
 #include "pmcheck/crash_explorer.hh"
 #include "support/stopwatch.hh"
+#include "test_util.hh"
 
 int
 main(int argc, char **argv)
@@ -41,8 +43,7 @@ main(int argc, char **argv)
         "Interleaving-bounded exploration — racekv schedule space");
 
     apps::RaceKvBuild buggy;
-    buggy.slots =
-        (uint32_t)bench::knob(opt, "HIPPO_INTERLEAVE_SLOTS", 4, 4);
+    buggy.slots = 4;
 
     pmcheck::CrashExplorerConfig xc;
     xc.entry = apps::raceKvEntry;
@@ -50,8 +51,7 @@ main(int argc, char **argv)
     xc.seed = 11;
     xc.faults.seed = 11;
     xc.faults.tornChance = 0.5;
-    xc.schedules =
-        bench::knob(opt, "HIPPO_INTERLEAVE_SCHEDULES", 24, 24);
+    xc.schedules = 24;
     xc.preemptBound = 2;
 
     auto &reg = support::MetricsRegistry::global();
@@ -76,7 +76,12 @@ main(int argc, char **argv)
             if (first) {
                 reference = res;
                 first = false;
+                if (test::regenVerdicts())
+                    test::writeVerdict("bench_interleave/racekv",
+                                       test::explorationVerdict(res));
             }
+            same &= test::explorationVerdict(res) ==
+                    test::frozenVerdict("bench_interleave/racekv");
             identical &= same;
             table.addRow(
                 {vm::vmEngineName(engine), format("%u", jobs),

@@ -8,10 +8,13 @@
  *
  * Gates (deterministic, counter-based — wall time is reported but
  * never enforced, so loaded CI hosts behave):
- *   - every workload's RunResult must be byte-identical across the
- *     engines (return value, step count, bit-exact simulated time);
- *   - crash-exploration recovery digests over a pmlog workload must
- *     match across engines at jobs = 1 and jobs = 4;
+ *   - every workload's run must be byte-identical across the engines
+ *     (return value, step count, bit-exact simulated time, outputs,
+ *     trace) and to the tree walker's frozen verdict
+ *     (tests/golden/tree_walker_verdicts.txt; HIPPO_REGEN_GOLDEN=1
+ *     rewrites it), as must the tree walker's dispatch units;
+ *   - crash exploration over a pmlog workload must give the frozen
+ *     ExplorationResult on both engines at jobs = 1 and jobs = 4;
  *   - the aggregate dispatch-work ratio must be >= 5x. The tree
  *     walker pays three map/list touches per executed instruction
  *     (frame lookup, opcode census, iterator advance) plus one
@@ -21,9 +24,8 @@
  *     census counters (tree: 3*steps + operand evals; fast:
  *     dispatches), which depend only on the module and inputs.
  *
- * Knobs: HIPPO_VMD_SPIN / _APPEND / _CHASE (loop trip counts),
- *        HIPPO_VMD_KV_OPS (YCSB ops), HIPPO_VMD_XAPPENDS (explorer
- *        workload size).
+ * Workload sizes are fixed per mode (smoke or full): the frozen
+ * verdicts are recorded for exactly those.
  */
 
 #include <cstdio>
@@ -38,6 +40,7 @@
 #include "pmcheck/crash_explorer.hh"
 #include "pmem/pm_pool.hh"
 #include "support/stopwatch.hh"
+#include "test_util.hh"
 #include "vm/vm.hh"
 
 namespace
@@ -159,7 +162,7 @@ makeChaseModule()
 /** One engine leg over one workload, on a fresh Vm + pool. */
 struct Leg
 {
-    vm::RunResult res;
+    std::string verdict;  ///< test::runVerdict of the run
     uint64_t units = 0;   ///< dispatch work (see file comment)
     uint64_t super = 0;   ///< superinstructions retired (fast only)
     double seconds = 0;
@@ -175,8 +178,9 @@ runLeg(ir::Module *m, const char *entry, uint64_t n,
     vm::Vm machine(m, &pool, vc);
     Leg leg;
     Stopwatch watch;
-    leg.res = machine.run(entry, {n});
+    vm::RunResult res = machine.run(entry, {n});
     leg.seconds = watch.elapsedSeconds();
+    leg.verdict = test::runVerdict(res, machine, {});
     leg.units = engine == vm::VmEngine::Tree
                     ? 3 * machine.steps() + machine.treeOperandEvals()
                     : machine.fastDispatches();
@@ -184,12 +188,17 @@ runLeg(ir::Module *m, const char *entry, uint64_t n,
     return leg;
 }
 
+/** @p text is the frozen verdict @p key (HIPPO_REGEN_GOLDEN=1
+ *  freezes it when @p tree says the tree walker produced it). */
 bool
-sameRun(const vm::RunResult &a, const vm::RunResult &b)
+frozen(const std::string &key, const std::string &text, bool tree = true)
 {
-    return a.crashed == b.crashed && a.returnValue == b.returnValue &&
-           a.steps == b.steps && a.simNanos == b.simNanos &&
-           a.outcome == b.outcome;
+    if (test::regenVerdicts()) {
+        if (tree)
+            test::writeVerdict(key, text);
+        return true;
+    }
+    return text == test::frozenVerdict(key);
 }
 
 } // namespace
@@ -208,16 +217,16 @@ main(int argc, char **argv)
         const char *entry;
         uint64_t n;
     };
+    const bool smoke = opt.smoke;
+    const std::string mode =
+        std::string("bench_vm_dispatch/") + (smoke ? "smoke" : "full");
     std::vector<Workload> workloads;
-    workloads.push_back({"spin", makeSpinModule(), "spin",
-                         bench::knob(opt, "HIPPO_VMD_SPIN", 20000,
-                                     2000)});
+    workloads.push_back(
+        {"spin", makeSpinModule(), "spin", smoke ? 2000u : 20000u});
     workloads.push_back({"pm-append", makeAppendModule(), "append",
-                         bench::knob(opt, "HIPPO_VMD_APPEND", 4096,
-                                     512)});
+                         smoke ? 512u : 4096u});
     workloads.push_back({"gep-chase", makeChaseModule(), "chase",
-                         bench::knob(opt, "HIPPO_VMD_CHASE", 4096,
-                                     512)});
+                         smoke ? 512u : 4096u});
 
     bool identical = true;
     uint64_t treeUnits = 0, fastUnits = 0, superExec = 0;
@@ -235,7 +244,12 @@ main(int argc, char **argv)
                           vm::VmEngine::Tree);
         Leg fast = runLeg(w.module.get(), w.entry, w.n,
                           vm::VmEngine::Bytecode);
-        bool same = sameRun(tree.res, fast.res);
+        std::string key = mode + "/" + w.name;
+        bool same = tree.verdict == fast.verdict &&
+                    frozen(key + "/run", tree.verdict) &&
+                    frozen(key + "/tree_units",
+                           format("%llu\n",
+                                  (unsigned long long)tree.units));
         identical &= same;
         treeUnits += tree.units;
         fastUnits += fast.units;
@@ -253,8 +267,7 @@ main(int argc, char **argv)
     // knob reaches it unchanged. Simulated time must match bit for
     // bit; dispatch units come from the driver's Vm census.
     {
-        uint64_t records =
-            bench::knob(opt, "HIPPO_VMD_KV_OPS", 200, 64);
+        uint64_t records = smoke ? 64 : 200;
         apps::PmkvConfig kcfg;
         kcfg.variant = apps::PmkvVariant::Manual;
         auto m = apps::buildPmkv(kcfg);
@@ -267,12 +280,22 @@ main(int argc, char **argv)
         auto fast = bench::runKvHotPath(m.get(), ycsb::Workload::A,
                                         records, records, 1, 2,
                                         vm::VmEngine::Bytecode);
-        bool same =
-            tree.workload.ops == fast.workload.ops &&
-            tree.workload.simSeconds == fast.workload.simSeconds;
-        identical &= same;
+        auto verdict = [](const bench::KvHotPathCounts &c) {
+            return format("load ops=%llu sim_s=%a\n"
+                          "run ops=%llu sim_s=%a\n",
+                          (unsigned long long)c.load.ops,
+                          c.load.simSeconds,
+                          (unsigned long long)c.workload.ops,
+                          c.workload.simSeconds);
+        };
         uint64_t tu = tree.dispatchUnits(vm::VmEngine::Tree);
         uint64_t fu = fast.dispatchUnits(vm::VmEngine::Bytecode);
+        bool same =
+            verdict(tree) == verdict(fast) &&
+            frozen(mode + "/ycsb-a/run", verdict(tree)) &&
+            frozen(mode + "/ycsb-a/tree_units",
+                   format("%llu\n", (unsigned long long)tu));
+        identical &= same;
         treeUnits += tu;
         fastUnits += fu;
         superExec += fast.fastSuper;
@@ -287,8 +310,9 @@ main(int argc, char **argv)
     }
     table.print();
 
-    // Differential exploration leg: recovery digests over a pmlog
-    // workload must match across engines and jobs settings.
+    // Differential exploration leg: the ExplorationResult over a
+    // pmlog workload must be the frozen one on both engines at every
+    // jobs setting.
     bool digestMatch = true;
     {
         apps::PmlogConfig lc;
@@ -297,26 +321,20 @@ main(int argc, char **argv)
         auto m = apps::buildPmlog(lc);
         pmcheck::CrashExplorerConfig xc;
         xc.entry = "log_example";
-        xc.entryArgs = {
-            bench::knob(opt, "HIPPO_VMD_XAPPENDS", 48, 16)};
+        xc.entryArgs = {smoke ? 16u : 48u};
         xc.recovery = "log_walk";
         xc.stepStride = 64;
         xc.maxCrashes = 1u << 20;
-        uint64_t ref = 0;
-        bool first = true;
         for (auto engine :
              {vm::VmEngine::Tree, vm::VmEngine::Bytecode}) {
             for (unsigned jobs : {1u, 4u}) {
                 xc.vmEngine = engine;
                 xc.jobs = jobs;
-                uint64_t digest = pmcheck::recoveryDigest(
-                    pmcheck::exploreCrashes(m.get(), xc));
-                if (first) {
-                    ref = digest;
-                    first = false;
-                } else if (digest != ref) {
-                    digestMatch = false;
-                }
+                digestMatch &= frozen(
+                    mode + "/pmlog-explore",
+                    test::explorationVerdict(
+                        pmcheck::exploreCrashes(m.get(), xc)),
+                    engine == vm::VmEngine::Tree);
             }
         }
         std::printf("\nexplorer digest (pmlog, engines x jobs "

@@ -5,9 +5,11 @@
  * observably byte-identical to the tree-walking oracle — RunResult
  * (including bit-exact simulated time), trace, outputs, probe firing
  * points, watchdog verdicts, and whole-exploration recovery digests —
- * across the application corpus, both replay engines, and multiple
- * jobs settings. Also pins the bytecode encoding with a golden
- * disassembly (HIPPO_REGEN_GOLDEN=1 rewrites it).
+ * across the application corpus, 64 generated PM programs, both
+ * replay engines, and multiple jobs settings. Each verdict is also
+ * frozen in tests/golden/tree_walker_verdicts.txt, which both engines
+ * must match. Also pins the bytecode encoding with a golden
+ * disassembly (HIPPO_REGEN_GOLDEN=1 rewrites both goldens).
  */
 
 #include <cstdlib>
@@ -25,6 +27,8 @@
 #include "ir/builder.hh"
 #include "pmcheck/crash_explorer.hh"
 #include "pmem/pm_pool.hh"
+#include "support/strings.hh"
+#include "test_util.hh"
 #include "vm/bytecode.hh"
 #include "vm/vm.hh"
 
@@ -98,15 +102,11 @@ buildAppendModule()
     return m;
 }
 
-/** Run @p entry on a fresh pool under @p engine. */
+/** One run on a fresh pool: its result and its verdict. */
 struct RunCapture
 {
     vm::RunResult res;
-    std::string trace;
-    std::vector<vm::ProgramOutput> outputs;
-    uint64_t steps = 0;
-    double simNanos = 0;
-    std::vector<uint64_t> probeSteps;
+    std::string verdict;
 };
 
 RunCapture
@@ -116,41 +116,38 @@ capture(ir::Module *m, const std::string &entry,
 {
     pmem::PmPool pool(16u << 20);
     vc.engine = engine;
-    RunCapture c;
+    std::vector<uint64_t> probes;
     vc.stepProbeStride = vc.stepProbeStride ? vc.stepProbeStride : 7;
-    vc.stepProbe = [&](uint64_t s) { c.probeSteps.push_back(s); };
+    vc.stepProbe = [&](uint64_t s) { probes.push_back(s); };
     vm::Vm machine(m, &pool, vc);
+    RunCapture c;
     c.res = machine.run(entry, std::move(args));
-    c.trace = machine.trace().writeText();
-    c.outputs = machine.outputs();
-    c.steps = machine.steps();
-    c.simNanos = machine.simNanos();
+    c.verdict = runVerdict(c.res, machine, probes);
     return c;
 }
 
+/** Both engines give the frozen verdict @p key (HIPPO_REGEN_GOLDEN=1
+ *  freezes the tree walker's). */
 void
-expectSameRun(const RunCapture &tree, const RunCapture &fast)
+expectFrozen(const std::string &key, const std::string &tree,
+             const std::string &fast)
 {
-    EXPECT_EQ(tree.res.crashed, fast.res.crashed);
-    EXPECT_EQ(tree.res.returnValue, fast.res.returnValue);
-    EXPECT_EQ(tree.res.steps, fast.res.steps);
-    EXPECT_EQ(tree.res.simNanos, fast.res.simNanos); // bit-exact
-    EXPECT_EQ(tree.res.outcome, fast.res.outcome);
-    EXPECT_EQ(tree.res.diag, fast.res.diag);
-    EXPECT_EQ(tree.trace, fast.trace);
-    EXPECT_EQ(tree.outputs, fast.outputs);
-    EXPECT_EQ(tree.steps, fast.steps);
-    EXPECT_EQ(tree.simNanos, fast.simNanos);
-    EXPECT_EQ(tree.probeSteps, fast.probeSteps);
+    EXPECT_EQ(tree, fast) << key;
+    if (regenVerdicts()) {
+        writeVerdict(key, tree);
+        return;
+    }
+    EXPECT_EQ(fast, frozenVerdict(key)) << key;
 }
 
 void
-expectRunParity(ir::Module *m, const std::string &entry,
-                std::vector<uint64_t> args, vm::VmConfig vc = {})
+expectRunParity(const std::string &key, ir::Module *m,
+                const std::string &entry, std::vector<uint64_t> args,
+                vm::VmConfig vc = {})
 {
     auto tree = capture(m, entry, args, vm::VmEngine::Tree, vc);
     auto fast = capture(m, entry, args, vm::VmEngine::Bytecode, vc);
-    expectSameRun(tree, fast);
+    expectFrozen(key, tree.verdict, fast.verdict);
 }
 
 } // namespace
@@ -175,9 +172,11 @@ TEST(FastInterp, EngineSelection)
 TEST(FastInterp, RunParitySyntheticLoops)
 {
     auto spin = buildSpinModule();
-    expectRunParity(spin.get(), "spin", {300});
+    expectRunParity("FastInterp.RunParitySyntheticLoops/spin",
+                    spin.get(), "spin", {300});
     auto append = buildAppendModule();
-    expectRunParity(append.get(), "append", {64});
+    expectRunParity("FastInterp.RunParitySyntheticLoops/append",
+                    append.get(), "append", {64});
 }
 
 TEST(FastInterp, RunParityTraced)
@@ -187,19 +186,24 @@ TEST(FastInterp, RunParityTraced)
     vm::VmConfig vc;
     vc.traceEnabled = true;
     auto append = buildAppendModule();
-    expectRunParity(append.get(), "append", {32}, vc);
+    expectRunParity("FastInterp.RunParityTraced/append", append.get(),
+                    "append", {32}, vc);
     auto log = apps::buildPmlog({});
-    expectRunParity(log.get(), "log_example", {8}, vc);
+    expectRunParity("FastInterp.RunParityTraced/log_example",
+                    log.get(), "log_example", {8}, vc);
 }
 
 TEST(FastInterp, RunParityApps)
 {
     auto log = apps::buildPmlog({});
-    expectRunParity(log.get(), "log_example", {12});
+    expectRunParity("FastInterp.RunParityApps/log_example", log.get(),
+                    "log_example", {12});
     auto clht = apps::buildPclht({});
-    expectRunParity(clht.get(), "clht_example", {10});
+    expectRunParity("FastInterp.RunParityApps/clht_example",
+                    clht.get(), "clht_example", {10});
     auto kv = apps::buildPmkv({});
-    expectRunParity(kv.get(), "kv_init", {});
+    expectRunParity("FastInterp.RunParityApps/kv_init", kv.get(),
+                    "kv_init", {});
 }
 
 TEST(FastInterp, CrashAtStepParity)
@@ -213,7 +217,9 @@ TEST(FastInterp, CrashAtStepParity)
         auto fast = capture(append.get(), "append", {64},
                             vm::VmEngine::Bytecode, vc);
         EXPECT_TRUE(tree.res.crashed);
-        expectSameRun(tree, fast);
+        expectFrozen(format("FastInterp.CrashAtStepParity/%llu",
+                            (unsigned long long)at),
+                     tree.verdict, fast.verdict);
     }
 }
 
@@ -227,7 +233,8 @@ TEST(FastInterp, CrashAtDurPointParity)
     auto fast = capture(log.get(), "log_example", {8},
                         vm::VmEngine::Bytecode, vc);
     EXPECT_TRUE(tree.res.crashed);
-    expectSameRun(tree, fast);
+    expectFrozen("FastInterp.CrashAtDurPointParity", tree.verdict,
+                 fast.verdict);
 }
 
 TEST(FastInterp, WatchdogTimeoutParity)
@@ -241,7 +248,8 @@ TEST(FastInterp, WatchdogTimeoutParity)
     auto fast = capture(spin.get(), "spin", {100000},
                         vm::VmEngine::Bytecode, vc);
     EXPECT_EQ(tree.res.outcome, vm::ExecOutcome::Timeout);
-    expectSameRun(tree, fast);
+    expectFrozen("FastInterp.WatchdogTimeoutParity", tree.verdict,
+                 fast.verdict);
 }
 
 TEST(FastInterp, GlobalStepLimitParity)
@@ -256,7 +264,8 @@ TEST(FastInterp, GlobalStepLimitParity)
                         vm::VmEngine::Bytecode, vc);
     EXPECT_EQ(tree.res.outcome, vm::ExecOutcome::Timeout);
     EXPECT_EQ(tree.res.diag, "global step limit exceeded");
-    expectSameRun(tree, fast);
+    expectFrozen("FastInterp.GlobalStepLimitParity", tree.verdict,
+                 fast.verdict);
 }
 
 TEST(FastInterp, HeapBudgetParity)
@@ -272,7 +281,8 @@ TEST(FastInterp, HeapBudgetParity)
     auto fast =
         capture(spin.get(), "spin", {4}, vm::VmEngine::Bytecode, vc);
     EXPECT_EQ(tree.res.outcome, vm::ExecOutcome::BudgetExceeded);
-    expectSameRun(tree, fast);
+    expectFrozen("FastInterp.HeapBudgetParity", tree.verdict,
+                 fast.verdict);
 }
 
 TEST(FastInterp, ExplorationParityMatrix)
@@ -318,6 +328,10 @@ TEST(FastInterp, ExplorationParityMatrix)
                     << " jobs=" << jobs;
                 EXPECT_EQ(pmcheck::recoveryDigest(tree),
                           pmcheck::recoveryDigest(fast));
+                expectFrozen(
+                    std::string("FastInterp.ExplorationParityMatrix/") +
+                        c.entry,
+                    explorationVerdict(tree), explorationVerdict(fast));
             }
         }
     }
@@ -340,6 +354,38 @@ TEST(FastInterp, ExplorationParityBugsuite)
         xc.vmEngine = vm::VmEngine::Bytecode;
         auto fast = pmcheck::exploreCrashes(m.get(), xc);
         EXPECT_TRUE(tree == fast) << cases[i].id;
+        expectFrozen("FastInterp.ExplorationParityBugsuite/" +
+                         cases[i].id,
+                     explorationVerdict(tree), explorationVerdict(fast));
+    }
+}
+
+TEST(FastInterp, GeneratedProgramParity)
+{
+    // The DoNoHarm suites' random PM programs, seeds 1-64: a traced
+    // entry run and a crash exploration (durpoints and every fifth
+    // step) of each.
+    for (uint64_t seed = 1; seed <= 64; seed++) {
+        auto m = generateProgram(seed);
+        std::string key = format("FastInterp.GeneratedProgramParity/%llu",
+                                 (unsigned long long)seed);
+        vm::VmConfig vc;
+        vc.traceEnabled = true;
+        auto tree = capture(m.get(), "main", {}, vm::VmEngine::Tree, vc);
+        auto fast =
+            capture(m.get(), "main", {}, vm::VmEngine::Bytecode, vc);
+        expectFrozen(key + "/run", tree.verdict, fast.verdict);
+
+        pmcheck::CrashExplorerConfig xc;
+        xc.entry = "main";
+        xc.recovery = "main";
+        xc.stepStride = 5;
+        xc.vmEngine = vm::VmEngine::Tree;
+        auto tree_x = pmcheck::exploreCrashes(m.get(), xc);
+        xc.vmEngine = vm::VmEngine::Bytecode;
+        auto fast_x = pmcheck::exploreCrashes(m.get(), xc);
+        expectFrozen(key + "/explore", explorationVerdict(tree_x),
+                     explorationVerdict(fast_x));
     }
 }
 

@@ -350,6 +350,11 @@ TEST(Shard, EnginesAgreeOnTheRecoveredState)
     EXPECT_GT(tree.back(), 0u) << "no Scan found a key";
     EXPECT_EQ(tree, fast)
         << "interpreters disagree on the logical store";
+    const char *key = "Shard.EnginesAgreeOnTheRecoveredState";
+    if (regenVerdicts())
+        writeVerdict(key, numbersVerdict(tree));
+    else
+        EXPECT_EQ(numbersVerdict(fast), frozenVerdict(key));
 }
 
 TEST(Shard, ExploreShardsIsConsistentAndShardCountInvariant)

@@ -23,7 +23,6 @@
 #include "ir/parser.hh"
 #include "ir/printer.hh"
 #include "pmcheck/crash_explorer.hh"
-#include "support/random.hh"
 #include "test_util.hh"
 
 namespace hippo::test
@@ -56,170 +55,6 @@ takeSnapshot(const Module &m)
         }
     }
     return s;
-}
-
-/** Build a random PM program. Deterministic per seed. */
-std::unique_ptr<Module>
-generateProgram(uint64_t seed)
-{
-    Rng rng(seed);
-    auto m = std::make_unique<Module>("random-" +
-                                      std::to_string(seed));
-    IRBuilder b(m.get());
-
-    // A few leaf helpers writing through their pointer parameter,
-    // plus wrapper helpers one frame above them (so interprocedural
-    // fixes at hoist level 2 arise in random programs too).
-    std::vector<Function *> helpers;
-    uint64_t nhelpers = 1 + rng.nextBelow(3);
-    for (uint64_t h = 0; h < nhelpers; h++) {
-        Function *f = m->addFunction(
-            "helper" + std::to_string(h), Type::Void);
-        Argument *p = f->addParam(Type::Ptr, "p");
-        Argument *v = f->addParam(Type::Int, "v");
-        b.setInsertPoint(f->addBlock("entry"));
-        b.setLoc("rand.c", (int)(100 + h));
-        uint64_t writes = 1 + rng.nextBelow(2);
-        for (uint64_t w = 0; w < writes; w++) {
-            Instruction *gp =
-                b.createGep(p, b.getInt(rng.nextBelow(4) * 8));
-            b.createStore(v, gp, 8);
-            if (rng.chance(0.3))
-                b.createFlush(gp, FlushKind::Clwb);
-        }
-        b.createRet();
-        helpers.push_back(f);
-    }
-    uint64_t nleaves = helpers.size();
-    for (uint64_t h = 0; h < nleaves; h++) {
-        if (!rng.chance(0.5))
-            continue;
-        Function *f = m->addFunction(
-            "wrapper" + std::to_string(h), Type::Void);
-        Argument *p = f->addParam(Type::Ptr, "p");
-        Argument *v = f->addParam(Type::Int, "v");
-        b.setInsertPoint(f->addBlock("entry"));
-        b.setLoc("rand.c", (int)(150 + h));
-        b.createCall(helpers[h],
-                     {b.createGep(p, b.getInt(rng.nextBelow(3) * 8)),
-                      b.createAdd(v, b.getInt(1))});
-        b.createRet();
-        helpers.push_back(f);
-    }
-
-    Function *main_fn = m->addFunction("main", Type::Void);
-    b.setInsertPoint(main_fn->addBlock("entry"));
-    b.setLoc("rand.c", 1);
-    Instruction *pm1 = b.createPmMap("rp1", 512);
-    Instruction *pm2 = b.createPmMap("rp2", 512);
-    Instruction *vol = b.createAlloca(256);
-
-    auto random_ptr = [&]() -> Instruction * {
-        uint64_t off = rng.nextBelow(16) * 8;
-        switch (rng.nextBelow(3)) {
-          case 0:
-            return b.createGep(pm1, b.getInt(off));
-          case 1:
-            return b.createGep(pm2, b.getInt(off));
-          default:
-            return b.createGep(vol, b.getInt(off % 256));
-        }
-    };
-
-    uint64_t actions = 8 + rng.nextBelow(20);
-    int loop_count = 0;
-    for (uint64_t i = 0; i < actions; i++) {
-        b.setLoc("rand.c", (int)(10 + i));
-        switch (rng.nextBelow(9)) {
-          case 0:
-          case 1: { // direct store, sometimes flushed/fenced
-            Instruction *p = random_ptr();
-            b.createStore(b.getInt(rng.nextBelow(1000)), p, 8);
-            if (rng.chance(0.5))
-                b.createFlush(p, rng.chance(0.2)
-                                     ? FlushKind::Clflush
-                                     : FlushKind::Clwb);
-            if (rng.chance(0.4))
-                b.createFence(FenceKind::Sfence);
-            break;
-          }
-          case 2: { // helper call
-            Function *h = helpers[rng.nextBelow(helpers.size())];
-            b.createCall(
-                h, {random_ptr(), b.getInt(rng.nextBelow(100))});
-            break;
-          }
-          case 3: { // memcpy volatile -> PM or PM -> volatile
-            uint64_t len = 8 * (1 + rng.nextBelow(12));
-            if (rng.chance(0.6)) {
-                b.createMemcpy(b.createGep(pm1, b.getInt(0)), vol,
-                               b.getInt(len));
-            } else {
-                b.createMemcpy(vol, b.createGep(pm1, b.getInt(0)),
-                               b.getInt(len));
-            }
-            break;
-          }
-          case 4: // stray flush
-            b.createFlush(random_ptr(), FlushKind::Clwb);
-            break;
-          case 5: // fence
-            b.createFence(rng.chance(0.2) ? FenceKind::Mfence
-                                          : FenceKind::Sfence);
-            break;
-          case 6: // durability point
-            b.createDurPoint("dp" + std::to_string(i));
-            break;
-          case 7: { // bounded store loop (multi-block control flow)
-            int n = ++loop_count;
-            BasicBlock *loop = main_fn->addBlock(
-                "loop" + std::to_string(n));
-            BasicBlock *body = main_fn->addBlock(
-                "body" + std::to_string(n));
-            BasicBlock *cont = main_fn->addBlock(
-                "cont" + std::to_string(n));
-            Instruction *iv = b.createAlloca(8);
-            Instruction *base = b.createGep(
-                rng.chance(0.5) ? pm1 : pm2,
-                b.getInt(rng.nextBelow(56) * 8));
-            uint64_t trips = 2 + rng.nextBelow(4);
-            b.createStore(b.getInt(0), iv, 8);
-            b.createBr(loop);
-            b.setInsertPoint(loop);
-            Instruction *iv_val = b.createLoad(iv, 8);
-            b.createCondBr(b.createCmp(CmpPred::Ult, iv_val,
-                                       b.getInt(trips)),
-                           body, cont);
-            b.setInsertPoint(body);
-            b.createStore(
-                b.createAdd(iv_val, b.getInt(7)),
-                b.createGep(base, b.createMul(iv_val, b.getInt(8))),
-                8);
-            b.createStore(b.createAdd(iv_val, b.getInt(1)), iv, 8);
-            b.createBr(loop);
-            b.setInsertPoint(cont);
-            break;
-          }
-          default: { // observable output
-            Instruction *p = random_ptr();
-            b.createPrint("o" + std::to_string(i),
-                          b.createLoad(p, 8));
-            break;
-          }
-        }
-    }
-    // Deterministic tail: make everything observable.
-    b.setLoc("rand.c", 99);
-    b.createFence(FenceKind::Sfence);
-    b.createDurPoint("final");
-    for (int i = 0; i < 4; i++) {
-        b.createPrint("tail" + std::to_string(i),
-                      b.createLoad(b.createGep(pm1, b.getInt(i * 8)),
-                                   8));
-    }
-    b.createRet();
-    verifyOrDie(*m);
-    return m;
 }
 
 std::vector<vm::ProgramOutput>

@@ -238,6 +238,16 @@ TEST(Threads, DigestInvariantAcrossJobsEnginesAndShards)
             cc.jobs = jobs;
             cc.vmEngine = engine;
             auto res = exploreCrashes(m.get(), cc);
+            const char *key =
+                "Threads.DigestInvariantAcrossJobsEnginesAndShards";
+            if (regenVerdicts()) {
+                if (!have_ref)
+                    writeVerdict(key, explorationVerdict(res));
+            } else {
+                EXPECT_EQ(explorationVerdict(res), frozenVerdict(key))
+                    << "jobs=" << jobs << " engine="
+                    << vm::vmEngineName(engine);
+            }
             if (!have_ref) {
                 ref = res;
                 have_ref = true;
@@ -267,6 +277,7 @@ TEST(Threads, PreemptionExposedTrapDegradesToUnverified)
     EXPECT_GT(res.schedulesDegraded, 0u);
     EXPECT_GT(res.unverifiedCount(), 0u);
     EXPECT_LT(res.schedulesDegraded, res.schedulesExecuted);
+    const char *key = "Threads.PreemptionExposedTrapDegradesToUnverified";
 
     // Degradation is part of the deterministic result: same census
     // and digest at every jobs setting and on both engines.
@@ -281,6 +292,14 @@ TEST(Threads, PreemptionExposedTrapDegradesToUnverified)
             EXPECT_EQ(r2, res)
                 << "jobs=" << jobs << " engine="
                 << vm::vmEngineName(engine);
+            if (regenVerdicts()) {
+                if (jobs == 1 && engine == vm::VmEngine::Tree)
+                    writeVerdict(key, explorationVerdict(r2));
+            } else {
+                EXPECT_EQ(explorationVerdict(r2), frozenVerdict(key))
+                    << "jobs=" << jobs << " engine="
+                    << vm::vmEngineName(engine);
+            }
         }
     }
 }

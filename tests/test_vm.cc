@@ -13,6 +13,7 @@
 #include "ir/builder.hh"
 #include "pmem/pm_pool.hh"
 #include "support/stopwatch.hh"
+#include "test_util.hh"
 #include "vm/vm.hh"
 
 namespace hippo::test
@@ -514,6 +515,7 @@ TEST(Vm, UntouchedArenaReadsZeroUnderBothEngines)
     Instruction *top_after = b.createLoad(top, 8);
     b.createRet(b.createAdd(b.createAdd(mid_v, top_v), top_after));
 
+    const std::string key = "Vm.UntouchedArenaReadsZeroUnderBothEngines";
     for (vm::VmEngine engine :
          {vm::VmEngine::Tree, vm::VmEngine::Bytecode}) {
         pmem::PmPool pool(1 << 16);
@@ -523,6 +525,14 @@ TEST(Vm, UntouchedArenaReadsZeroUnderBothEngines)
         auto res = machine.run("f");
         EXPECT_TRUE(res.ok()) << vm::vmEngineName(engine);
         EXPECT_EQ(res.returnValue, 7u) << vm::vmEngineName(engine);
+        std::string verdict = runVerdict(res, machine, {});
+        if (regenVerdicts()) {
+            if (engine == vm::VmEngine::Tree)
+                writeVerdict(key, verdict);
+            continue;
+        }
+        EXPECT_EQ(verdict, frozenVerdict(key))
+            << vm::vmEngineName(engine);
     }
 }
 

@@ -159,12 +159,10 @@ main(int argc, char **argv)
     // the same op stream.
     auto naive = bench::runKvHotPath(variants.hippoFull.get(),
                                      ycsb::Workload::A, records, ops,
-                                     424243, 424247,
-                                     vm::VmEngine::Auto, 32u << 20);
+                                     424243, 424247, 32u << 20);
     auto optd = bench::runKvHotPath(variants.hippoOpt.get(),
                                     ycsb::Workload::A, records, ops,
-                                    424243, 424247,
-                                    vm::VmEngine::Auto, 32u << 20);
+                                    424243, 424247, 32u << 20);
     double flush_cut =
         naive.flushes
             ? 100.0 * (double)(naive.flushes - optd.flushes) /

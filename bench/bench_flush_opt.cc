@@ -90,8 +90,7 @@ bench::KvHotPathCounts
 hotPathCounts(ir::Module *m, uint64_t records, uint64_t ops)
 {
     return bench::runKvHotPath(m, ycsb::Workload::A, records, ops,
-                               424243, 424247, vm::VmEngine::Auto,
-                               32u << 20);
+                               424243, 424247, 32u << 20);
 }
 
 /** Repair one app exactly like the hippoc pipeline (trace -> detect

@@ -4,15 +4,14 @@
  * publisher/consumer app (one seeded cross-thread durability race,
  * one seeded single-thread missing-flush&fence; 4 published slots)
  * over a bounded set of 24 schedules, under the torn-store fault
- * model, at jobs = 1, 4, and in both interpreter engines.
+ * model, at jobs = 1, 2, 3 and 4.
  *
  * Gates (deterministic, counter-based — wall time is reported but
  * never enforced):
- *   - every jobs/engine combination must return a result
- *     byte-identical to the jobs=1 Tree reference (the acceptance
- *     gate of the thread-model milestone), and to that reference's
- *     frozen verdict (tests/golden/tree_walker_verdicts.txt;
- *     HIPPO_REGEN_GOLDEN=1 rewrites it);
+ *   - every jobs setting must return a result byte-identical to the
+ *     tree-walking interpreter's recorded jobs=1 exploration
+ *     (tests/golden/tree_walker_verdicts.txt; the acceptance gate of
+ *     the thread-model milestone);
  *   - the buggy build must actually race: >= 1 cross-thread race
  *     observed and >= 1 race-forked crash image recovered;
  *   - the developer-fixed build must be completely quiet: zero
@@ -20,7 +19,7 @@
  *     recovery;
  *   - no schedule may degrade on either build at the default
  *     budgets.
- * *
+ *
  * The workload has no size knobs: the frozen verdict fixes it.
  */
 
@@ -56,51 +55,38 @@ main(int argc, char **argv)
 
     auto &reg = support::MetricsRegistry::global();
 
-    // jobs=1 on the tree interpreter is the reference every other
-    // combination must reproduce byte-identically.
+    // The tree walker's recorded jobs=1 exploration is the reference
+    // every jobs setting must reproduce byte-identically.
+    const std::string frozen =
+        test::frozenVerdict("bench_interleave/racekv");
     bool identical = true;
     pmcheck::ExplorationResult reference;
-    bench::Table table({"engine", "jobs", "schedules", "races",
-                        "race crashes", "unverified", "wall time",
-                        "identical"});
-    bool first = true;
-    for (auto engine : {vm::VmEngine::Tree, vm::VmEngine::Bytecode}) {
-        for (unsigned jobs : {1u, 4u}) {
-            auto m = apps::buildRaceKv(buggy);
-            xc.vmEngine = engine;
-            xc.jobs = jobs;
-            Stopwatch watch;
-            auto res = pmcheck::exploreCrashes(m.get(), xc);
-            double seconds = watch.elapsedSeconds();
-            bool same = first || res == reference;
-            if (first) {
-                reference = res;
-                first = false;
-                if (test::regenVerdicts())
-                    test::writeVerdict("bench_interleave/racekv",
-                                       test::explorationVerdict(res));
-            }
-            same &= test::explorationVerdict(res) ==
-                    test::frozenVerdict("bench_interleave/racekv");
-            identical &= same;
-            table.addRow(
-                {vm::vmEngineName(engine), format("%u", jobs),
-                 format("%llu/%llu",
-                        (unsigned long long)res.schedulesExecuted,
-                        (unsigned long long)res.schedulesPlanned),
-                 format("%llu", (unsigned long long)res.racesObserved),
-                 format("%llu",
-                        (unsigned long long)res.raceCrashCount()),
-                 format("%llu",
-                        (unsigned long long)res.unverifiedCount()),
-                 format("%.3fs", seconds), same ? "yes" : "NO"});
-        }
+    bench::Table table({"jobs", "schedules", "races", "race crashes",
+                        "unverified", "wall time", "identical"});
+    for (unsigned jobs : {1u, 2u, 3u, 4u}) {
+        auto m = apps::buildRaceKv(buggy);
+        xc.jobs = jobs;
+        Stopwatch watch;
+        auto res = pmcheck::exploreCrashes(m.get(), xc);
+        double seconds = watch.elapsedSeconds();
+        bool same = test::explorationVerdict(res) == frozen;
+        if (jobs == 1)
+            reference = res;
+        identical &= same;
+        table.addRow(
+            {format("%u", jobs),
+             format("%llu/%llu",
+                    (unsigned long long)res.schedulesExecuted,
+                    (unsigned long long)res.schedulesPlanned),
+             format("%llu", (unsigned long long)res.racesObserved),
+             format("%llu", (unsigned long long)res.raceCrashCount()),
+             format("%llu", (unsigned long long)res.unverifiedCount()),
+             format("%.3fs", seconds), same ? "yes" : "NO"});
     }
     table.print();
 
     // The developer-fixed build under the same schedule set, on the
-    // default engine and worker count.
-    xc.vmEngine = vm::VmEngine::Auto;
+    // default worker count.
     xc.jobs = 0;
     apps::RaceKvBuild fixed = buggy;
     fixed.flushSlots = true;
@@ -133,8 +119,8 @@ main(int argc, char **argv)
     bench::finishBench(opt, "bench_interleave");
 
     if (!identical) {
-        std::printf("FAIL: interleaving exploration diverged across "
-                    "jobs/engines\n");
+        std::printf("FAIL: interleaving exploration diverged from "
+                    "the recorded reference\n");
         return 1;
     }
     if (reference.racesObserved == 0 ||

@@ -107,30 +107,15 @@ makeLoopModule()
 }
 
 void
-interpreterLoop(benchmark::State &state, vm::VmEngine engine)
+BM_Vm_InterpreterLoopBytecode(benchmark::State &state)
 {
     auto m = makeLoopModule();
     pmem::PmPool pool(1 << 16);
-    vm::VmConfig vc;
-    vc.engine = engine;
-    vm::Vm machine(m.get(), &pool, vc);
+    vm::Vm machine(m.get(), &pool);
     uint64_t n = state.range(0);
     for (auto _ : state)
         machine.run("spin", {n});
     state.SetItemsProcessed(state.iterations() * n * 5);
-}
-
-void
-BM_Vm_InterpreterLoop(benchmark::State &state)
-{
-    interpreterLoop(state, vm::VmEngine::Tree);
-}
-BENCHMARK(BM_Vm_InterpreterLoop)->Arg(1000);
-
-void
-BM_Vm_InterpreterLoopBytecode(benchmark::State &state)
-{
-    interpreterLoop(state, vm::VmEngine::Bytecode);
 }
 BENCHMARK(BM_Vm_InterpreterLoopBytecode)->Arg(1000);
 

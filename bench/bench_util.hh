@@ -177,7 +177,6 @@ struct KvHotPathCounts
     uint64_t flushes = 0;          ///< Vm census after both phases
     uint64_t fences = 0;
     uint64_t steps = 0;
-    uint64_t treeOperandEvals = 0;
     uint64_t fastDispatches = 0;
     uint64_t fastSuper = 0;
 
@@ -188,29 +187,15 @@ struct KvHotPathCounts
         double secs = load.simSeconds + workload.simSeconds;
         return secs > 0 ? (load.ops + workload.ops) / secs : 0;
     }
-
-    /** Dispatch work under @p engine (bench_vm_dispatch's metric:
-     *  tree pays 3 touches/step + operand evals, fast one dispatch
-     *  per bytecode instruction). */
-    uint64_t
-    dispatchUnits(vm::VmEngine engine) const
-    {
-        return engine == vm::VmEngine::Tree
-                   ? 3 * steps + treeOperandEvals
-                   : fastDispatches;
-    }
 };
 
 inline KvHotPathCounts
 runKvHotPath(ir::Module *m, ycsb::Workload w, uint64_t records,
              uint64_t ops, uint64_t load_seed, uint64_t run_seed,
-             vm::VmEngine engine = vm::VmEngine::Auto,
              uint64_t pool_bytes = 64u << 20)
 {
     pmem::PmPool pool(pool_bytes);
-    vm::VmConfig vc;
-    vc.engine = engine;
-    apps::KvDriver driver(m, &pool, vc);
+    apps::KvDriver driver(m, &pool);
     driver.init();
     KvHotPathCounts out;
     out.load = driver.run(ycsb::Workload::Load, records, records,
@@ -221,7 +206,6 @@ runKvHotPath(ir::Module *m, ycsb::Workload w, uint64_t records,
     out.flushes = driver.vm().flushesExecuted();
     out.fences = driver.vm().fencesExecuted();
     out.steps = driver.vm().steps();
-    out.treeOperandEvals = driver.vm().treeOperandEvals();
     out.fastDispatches = driver.vm().fastDispatches();
     out.fastSuper = driver.vm().fastSuperExecuted();
     return out;

@@ -1,34 +1,35 @@
 /**
  * @file
- * Tree-walker vs. bytecode fast-path dispatch gate: run a set of
- * interpreter-bound PMIR workloads (a countdown spin loop, a PM
- * append loop built around the store->flush->fence superinstruction,
- * a gep/load pointer walk, and a YCSB pmkv slice) under both engines
- * and compare.
+ * Bytecode dispatch gate against the tree-walking interpreter's
+ * recorded figures: run a set of interpreter-bound PMIR workloads (a
+ * countdown spin loop, a PM append loop built around the
+ * store->flush->fence superinstruction, a gep/load pointer walk, and
+ * a YCSB pmkv slice) on the bytecode interpreter and compare each
+ * with the tree walker's verdicts in
+ * tests/golden/tree_walker_verdicts.txt.
  *
  * Gates (deterministic, counter-based — wall time is reported but
  * never enforced, so loaded CI hosts behave):
- *   - every workload's run must be byte-identical across the engines
- *     (return value, step count, bit-exact simulated time, outputs,
- *     trace) and to the tree walker's frozen verdict
- *     (tests/golden/tree_walker_verdicts.txt; HIPPO_REGEN_GOLDEN=1
- *     rewrites it), as must the tree walker's dispatch units;
- *   - crash exploration over a pmlog workload must give the frozen
- *     ExplorationResult on both engines at jobs = 1 and jobs = 4;
+ *   - every workload's run must be byte-identical to the tree
+ *     walker's recorded verdict (return value, step count, bit-exact
+ *     simulated time, outputs, trace);
+ *   - crash exploration over a pmlog workload must give the recorded
+ *     ExplorationResult at jobs = 1, 2, 3 and 4;
  *   - the aggregate dispatch-work ratio must be >= 5x. The tree
- *     walker pays three map/list touches per executed instruction
+ *     walker paid three map/list touches per executed instruction
  *     (frame lookup, opcode census, iterator advance) plus one
- *     recursive eval() per operand; the fast path pays one dispatch
- *     per bytecode instruction, and superinstructions retire several
- *     IR steps per dispatch. Both sides are measured from the vm.*
- *     census counters (tree: 3*steps + operand evals; fast:
- *     dispatches), which depend only on the module and inputs.
+ *     recursive operand eval per operand; its units (3*steps +
+ *     operand evals) are recorded per workload. The fast path pays
+ *     one dispatch per bytecode instruction, and superinstructions
+ *     retire several IR steps per dispatch (the vm.fast.dispatches
+ *     census). Both depend only on the module and inputs.
  *
- * Workload sizes are fixed per mode (smoke or full): the frozen
- * verdicts are recorded for exactly those.
+ * Workload sizes are fixed per mode (smoke or full): the verdicts
+ * are recorded for exactly those.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -159,46 +160,36 @@ makeChaseModule()
     return m;
 }
 
-/** One engine leg over one workload, on a fresh Vm + pool. */
+/** One workload run on a fresh Vm + pool. */
 struct Leg
 {
     std::string verdict;  ///< test::runVerdict of the run
-    uint64_t units = 0;   ///< dispatch work (see file comment)
-    uint64_t super = 0;   ///< superinstructions retired (fast only)
+    uint64_t units = 0;   ///< dispatches (see file comment)
+    uint64_t super = 0;   ///< superinstructions retired
     double seconds = 0;
 };
 
 Leg
-runLeg(ir::Module *m, const char *entry, uint64_t n,
-       vm::VmEngine engine)
+runLeg(ir::Module *m, const char *entry, uint64_t n)
 {
     pmem::PmPool pool(4u << 20);
-    vm::VmConfig vc;
-    vc.engine = engine;
-    vm::Vm machine(m, &pool, vc);
+    vm::Vm machine(m, &pool);
     Leg leg;
     Stopwatch watch;
     vm::RunResult res = machine.run(entry, {n});
     leg.seconds = watch.elapsedSeconds();
     leg.verdict = test::runVerdict(res, machine, {});
-    leg.units = engine == vm::VmEngine::Tree
-                    ? 3 * machine.steps() + machine.treeOperandEvals()
-                    : machine.fastDispatches();
+    leg.units = machine.fastDispatches();
     leg.super = machine.fastSuperExecuted();
     return leg;
 }
 
-/** @p text is the frozen verdict @p key (HIPPO_REGEN_GOLDEN=1
- *  freezes it when @p tree says the tree walker produced it). */
-bool
-frozen(const std::string &key, const std::string &text, bool tree = true)
+/** The tree walker's recorded dispatch units for workload @p key. */
+uint64_t
+recordedTreeUnits(const std::string &key)
 {
-    if (test::regenVerdicts()) {
-        if (tree)
-            test::writeVerdict(key, text);
-        return true;
-    }
-    return text == test::frozenVerdict(key);
+    return std::strtoull(
+        test::frozenVerdict(key + "/tree_units").c_str(), nullptr, 10);
 }
 
 } // namespace
@@ -207,8 +198,8 @@ int
 main(int argc, char **argv)
 {
     auto opt = bench::parseBenchOptions(argc, argv);
-    bench::banner("VM dispatch — tree-walking oracle vs. bytecode "
-                  "fast path");
+    bench::banner("VM dispatch — bytecode fast path vs. the tree "
+                  "walker's recorded figures");
 
     struct Workload
     {
@@ -232,40 +223,30 @@ main(int argc, char **argv)
     uint64_t treeUnits = 0, fastUnits = 0, superExec = 0;
 
     bench::Table table({"workload", "tree units", "fast units",
-                        "ratio", "super", "tree wall", "fast wall",
-                        "identical"});
+                        "ratio", "super", "wall", "identical"});
 
     for (auto &w : workloads) {
-        // Untimed warm-up (also pre-compiles the bytecode program).
-        runLeg(w.module.get(), w.entry, 8, vm::VmEngine::Tree);
-        runLeg(w.module.get(), w.entry, 8, vm::VmEngine::Bytecode);
+        // Untimed warm-up.
+        runLeg(w.module.get(), w.entry, 8);
 
-        Leg tree = runLeg(w.module.get(), w.entry, w.n,
-                          vm::VmEngine::Tree);
-        Leg fast = runLeg(w.module.get(), w.entry, w.n,
-                          vm::VmEngine::Bytecode);
+        Leg fast = runLeg(w.module.get(), w.entry, w.n);
         std::string key = mode + "/" + w.name;
-        bool same = tree.verdict == fast.verdict &&
-                    frozen(key + "/run", tree.verdict) &&
-                    frozen(key + "/tree_units",
-                           format("%llu\n",
-                                  (unsigned long long)tree.units));
+        uint64_t tu = recordedTreeUnits(key);
+        bool same = fast.verdict == test::frozenVerdict(key + "/run");
         identical &= same;
-        treeUnits += tree.units;
+        treeUnits += tu;
         fastUnits += fast.units;
         superExec += fast.super;
         table.addRow(
-            {w.name, format("%llu", (unsigned long long)tree.units),
+            {w.name, format("%llu", (unsigned long long)tu),
              format("%llu", (unsigned long long)fast.units),
-             format("%.2fx", (double)tree.units / fast.units),
+             format("%.2fx", (double)tu / fast.units),
              format("%llu", (unsigned long long)fast.super),
-             format("%.4fs", tree.seconds),
              format("%.4fs", fast.seconds), same ? "yes" : "NO"});
     }
 
-    // YCSB pmkv slice: the KvDriver rides VmConfig, so the engine
-    // knob reaches it unchanged. Simulated time must match bit for
-    // bit; dispatch units come from the driver's Vm census.
+    // YCSB pmkv slice: simulated time must match the recorded one
+    // bit for bit; dispatch units come from the driver's Vm census.
     {
         uint64_t records = smoke ? 64 : 200;
         apps::PmkvConfig kcfg;
@@ -274,27 +255,18 @@ main(int argc, char **argv)
         // Shared hot-path construction (bench::runKvHotPath), so
         // this leg measures the same op stream as the fig4 and
         // flush-opt KV legs.
-        auto tree = bench::runKvHotPath(m.get(), ycsb::Workload::A,
-                                        records, records, 1, 2,
-                                        vm::VmEngine::Tree);
         auto fast = bench::runKvHotPath(m.get(), ycsb::Workload::A,
-                                        records, records, 1, 2,
-                                        vm::VmEngine::Bytecode);
-        auto verdict = [](const bench::KvHotPathCounts &c) {
-            return format("load ops=%llu sim_s=%a\n"
-                          "run ops=%llu sim_s=%a\n",
-                          (unsigned long long)c.load.ops,
-                          c.load.simSeconds,
-                          (unsigned long long)c.workload.ops,
-                          c.workload.simSeconds);
-        };
-        uint64_t tu = tree.dispatchUnits(vm::VmEngine::Tree);
-        uint64_t fu = fast.dispatchUnits(vm::VmEngine::Bytecode);
+                                        records, records, 1, 2);
+        std::string verdict =
+            format("load ops=%llu sim_s=%a\nrun ops=%llu sim_s=%a\n",
+                   (unsigned long long)fast.load.ops,
+                   fast.load.simSeconds,
+                   (unsigned long long)fast.workload.ops,
+                   fast.workload.simSeconds);
+        uint64_t tu = recordedTreeUnits(mode + "/ycsb-a");
+        uint64_t fu = fast.fastDispatches;
         bool same =
-            verdict(tree) == verdict(fast) &&
-            frozen(mode + "/ycsb-a/run", verdict(tree)) &&
-            frozen(mode + "/ycsb-a/tree_units",
-                   format("%llu\n", (unsigned long long)tu));
+            verdict == test::frozenVerdict(mode + "/ycsb-a/run");
         identical &= same;
         treeUnits += tu;
         fastUnits += fu;
@@ -304,15 +276,13 @@ main(int argc, char **argv)
                       format("%.2fx", (double)tu / fu),
                       format("%llu",
                              (unsigned long long)fast.fastSuper),
-                      format("%.4fs", tree.wallSeconds),
                       format("%.4fs", fast.wallSeconds),
                       same ? "yes" : "NO"});
     }
     table.print();
 
-    // Differential exploration leg: the ExplorationResult over a
-    // pmlog workload must be the frozen one on both engines at every
-    // jobs setting.
+    // Exploration leg: the ExplorationResult over a pmlog workload
+    // must be the recorded one at every jobs setting.
     bool digestMatch = true;
     {
         apps::PmlogConfig lc;
@@ -325,26 +295,21 @@ main(int argc, char **argv)
         xc.recovery = "log_walk";
         xc.stepStride = 64;
         xc.maxCrashes = 1u << 20;
-        for (auto engine :
-             {vm::VmEngine::Tree, vm::VmEngine::Bytecode}) {
-            for (unsigned jobs : {1u, 4u}) {
-                xc.vmEngine = engine;
-                xc.jobs = jobs;
-                digestMatch &= frozen(
-                    mode + "/pmlog-explore",
-                    test::explorationVerdict(
-                        pmcheck::exploreCrashes(m.get(), xc)),
-                    engine == vm::VmEngine::Tree);
-            }
+        const std::string frozen =
+            test::frozenVerdict(mode + "/pmlog-explore");
+        for (unsigned jobs : {1u, 2u, 3u, 4u}) {
+            xc.jobs = jobs;
+            digestMatch &= test::explorationVerdict(
+                               pmcheck::exploreCrashes(m.get(), xc)) ==
+                           frozen;
         }
-        std::printf("\nexplorer digest (pmlog, engines x jobs "
-                    "{1,4}): %s\n",
+        std::printf("\nexplorer digest (pmlog, jobs {1,2,3,4}): %s\n",
                     digestMatch ? "all identical" : "DIVERGED");
     }
 
     double ratio = (double)treeUnits / (double)fastUnits;
-    std::printf("\naggregate: tree %llu units, fast %llu units "
-                "(%.2fx), %llu superinstructions retired\n",
+    std::printf("\naggregate: tree %llu units (recorded), fast %llu "
+                "units (%.2fx), %llu superinstructions retired\n",
                 (unsigned long long)treeUnits,
                 (unsigned long long)fastUnits, ratio,
                 (unsigned long long)superExec);
@@ -362,12 +327,13 @@ main(int argc, char **argv)
     bench::finishBench(opt, "bench_vm_dispatch");
 
     if (!identical) {
-        std::printf("FAIL: engines disagreed on a RunResult\n");
+        std::printf("FAIL: a RunResult differs from the recorded "
+                    "one\n");
         return 1;
     }
     if (!digestMatch) {
-        std::printf("FAIL: recovery digests diverged across "
-                    "engine/jobs\n");
+        std::printf("FAIL: an exploration differs from the "
+                    "recorded one\n");
         return 1;
     }
     if (ratio < 5.0) {

@@ -868,8 +868,6 @@ Fixer::verifyFixed(pmcheck::CrashExplorerConfig vc) const
         vc.heapBudget = cfg_.heapBudget;
     if (vc.timeBudgetMs == 0)
         vc.timeBudgetMs = cfg_.timeBudgetMs;
-    if (vc.vmEngine == vm::VmEngine::Auto)
-        vc.vmEngine = cfg_.vmEngine;
     auto &reg = support::MetricsRegistry::global();
     support::ScopedTimer t(reg.timer("fixer.verify_ns"));
     pmcheck::ExplorationResult res = pmcheck::exploreCrashes(module_, vc);

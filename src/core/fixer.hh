@@ -90,13 +90,6 @@ struct FixerConfig
     uint64_t heapBudget = 0;   ///< recovery volatile-heap cap (0 = off)
     uint64_t timeBudgetMs = 0; ///< recovery wall-clock cap (0 = off)
 
-    /**
-     * Interpreter engine for verifyFixed()'s crash exploration,
-     * forwarded when the caller's explorer config leaves it Auto.
-     * Exploration results are byte-identical across engines.
-     */
-    vm::VmEngine vmEngine = vm::VmEngine::Auto;
-
     bool verbose = false;
 };
 

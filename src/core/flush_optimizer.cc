@@ -1199,7 +1199,6 @@ probeModule(ir::Module *m, const FlushOptVerifyConfig &cfg)
     Probe p;
     try {
         vm::VmConfig vc;
-        vc.engine = cfg.vmEngine;
         if (cfg.stepBudget || cfg.heapBudget || cfg.timeBudgetMs) {
             vc.sandbox = true;
             vc.stepBudget = cfg.stepBudget;
@@ -1239,7 +1238,6 @@ probeModule(ir::Module *m, const FlushOptVerifyConfig &cfg)
             cc.recoveryArgs = cfg.recoveryArgs;
         }
         cc.jobs = cfg.jobs;
-        cc.vmEngine = cfg.vmEngine;
         cc.stepBudget = cfg.stepBudget;
         cc.heapBudget = cfg.heapBudget;
         cc.timeBudgetMs = cfg.timeBudgetMs;

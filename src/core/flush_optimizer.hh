@@ -192,10 +192,6 @@ struct FlushOptVerifyConfig
     uint64_t heapBudget = 0;
     uint64_t timeBudgetMs = 0;
 
-    /** Interpreter engine for every execution the differential
-     *  harness runs (entry runs and crash explorations). */
-    vm::VmEngine vmEngine = vm::VmEngine::Auto;
-
     bool checkDetector = true; ///< pmcheck must find no new bugs
     bool checkStatic = true;   ///< static checker: no new candidates
 };

@@ -58,9 +58,8 @@ class Recovery
     {
         // Every Vm of the exploration runs the module untraced, so
         // one fused program serves them all, read-only.
-        if (vm::resolveEngine(cfg.vmEngine) == vm::VmEngine::Bytecode)
-            program_ = std::make_shared<const vm::BcProgram>(
-                vm::compileModule(*m));
+        program_ = std::make_shared<const vm::BcProgram>(
+            vm::compileModule(*m));
     }
 
     ~Recovery()
@@ -73,12 +72,11 @@ class Recovery
     }
 
     /** The base config of every Vm the exploration builds: the
-     *  configured engine and the shared program. */
+     *  shared program. */
     vm::VmConfig
     vmConfig() const
     {
         vm::VmConfig vc;
-        vc.engine = cfg_.vmEngine;
         vc.program = program_;
         return vc;
     }

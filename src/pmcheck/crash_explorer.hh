@@ -125,15 +125,6 @@ struct CrashExplorerConfig
     ExploreEngine engine = ExploreEngine::Snapshot;
 
     /**
-     * Interpreter engine for every VM the exploration runs (master,
-     * entry replays, recoveries). Orthogonal to `engine`, which
-     * picks the *replay strategy*; this picks how each individual
-     * run executes. Results are byte-identical either way
-     * (tests/test_fast_interp.cc).
-     */
-    vm::VmEngine vmEngine = vm::VmEngine::Auto;
-
-    /**
      * Byte budget for the checkpointed-replay op log (the
      * evictChance > 0 snapshot mode). Overflow falls back to
      * per-point legacy replays; the result is unchanged either way.

@@ -362,8 +362,7 @@ FunctionCompiler::emitBlock(const ir::BasicBlock &bb)
     }
 
     // A block that does not end in a terminator (or an empty block)
-    // falls into the guard, which reproduces the tree walker's
-    // fell-off-block panic.
+    // falls into the guard, which raises the fell-off-block panic.
     if (bb.empty() || !bb.terminator()->isTerminator()) {
         BcInstr guard;
         guard.op = BcOp::FallOff;

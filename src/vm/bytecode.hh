@@ -2,10 +2,10 @@
  * @file
  * Flat linear bytecode for the PMIR fast interpreter.
  *
- * The tree-walking Vm re-resolves every operand (constant? argument?
- * instruction id?) through a virtual-ish switch on every execution
- * and walks std::list iterators between instructions. The bytecode
- * compiler performs that resolution exactly once: each ir::Function
+ * Walking the IR would re-resolve every operand (constant? argument?
+ * instruction id?) through a switch on every execution and walk
+ * std::list iterators between instructions. The bytecode compiler
+ * performs that resolution exactly once: each ir::Function
  * is lowered to a dense vector of fixed-size BcInstr records whose
  * operands are frame-slot indices into one flat register file
  * (instruction results, then arguments, then a deduplicated constant
@@ -14,14 +14,14 @@
  * superinstructions (store+flush[+fence], gep+load, gep+store,
  * cmp+condbr); fused handlers still execute the full per-component
  * step prologue, so probes, watchdog budgets, crash injection, and
- * every counter behave byte-identically to the tree walker
- * (DESIGN.md "Bytecode fast path").
+ * every counter advance once per IR instruction, byte-identically to
+ * the recorded tree-walker verdicts (DESIGN.md "Bytecode fast path").
  *
  * The compiler is a pure function of the Module: it never mutates
  * the IR, and the emitted program holds const pointers back into it
  * (for trace capture and symbols). Mutating the Module after
  * compilation invalidates the program — the Vm compiles lazily on
- * the first bytecode run and callers that rewrite IR (the fixer, the
+ * its first run and callers that rewrite IR (the fixer, the
  * flush optimizer) always verify through fresh Vm instances.
  */
 

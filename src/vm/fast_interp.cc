@@ -128,7 +128,7 @@ FastInterp::storeBody(const Frame &frame, const ir::Instruction &in,
     vm.ntStores_ += pm && non_temporal;
 
     if (vm.cfg_.traceEnabled) {
-        vm.recordDynPtsNamed(frame.func->name(), in.operand(1),
+        vm.recordDynPts(frame.func->name(), in.operand(1),
                              addr);
         if (pm) {
             trace::Event ev;
@@ -258,8 +258,7 @@ FastInterp::execFunc(const BcFunction &bf, const uint64_t *args,
     Frame frame{f, parent, call_site};
 
     // Bump-allocate this activation's register file. resize() both
-    // zero-fills the fresh slots (matching the tree walker's
-    // regs.assign(idBound, 0)) and reuses capacity across calls.
+    // zero-fills the fresh slots and reuses capacity across calls.
     const size_t base = regArena_.size();
     regArena_.resize(base + bf.frameSlots, 0);
     uint64_t *regs = regArena_.data() + base;
@@ -460,7 +459,7 @@ FastInterp::execFunc(const BcFunction &bf, const uint64_t *args,
             argScratch_[i] = regs[bf.callArgs[pc->b + i]];
             if (cfg.traceEnabled &&
                 in.operand(i)->type() == ir::Type::Ptr)
-                vm.recordDynPtsNamed(f->name(), in.operand(i),
+                vm.recordDynPts(f->name(), in.operand(i),
                                      argScratch_[i]);
         }
         vm.simNanos_ += costs.callNs;
@@ -506,8 +505,8 @@ FastInterp::execFunc(const BcFunction &bf, const uint64_t *args,
             vm.rawStore(dst, buf.data(), len, false);
             vm.simNanos_ += costs.perByteCopyNs * len;
             if (cfg.traceEnabled) {
-                vm.recordDynPtsNamed(f->name(), in.operand(0), dst);
-                vm.recordDynPtsNamed(f->name(), in.operand(1), src);
+                vm.recordDynPts(f->name(), in.operand(0), dst);
+                vm.recordDynPts(f->name(), in.operand(1), src);
                 if (vm.isPmAddr(dst)) {
                     trace::Event ev;
                     ev.kind = trace::EventKind::Store;
@@ -535,7 +534,7 @@ FastInterp::execFunc(const BcFunction &bf, const uint64_t *args,
             vm.rawStore(dst, buf.data(), len, false);
             vm.simNanos_ += costs.perByteCopyNs * len;
             if (cfg.traceEnabled) {
-                vm.recordDynPtsNamed(f->name(), in.operand(0), dst);
+                vm.recordDynPts(f->name(), in.operand(0), dst);
                 if (vm.isPmAddr(dst)) {
                     trace::Event ev;
                     ev.kind = trace::EventKind::Store;

@@ -4,9 +4,10 @@
  * (src/vm/bytecode.hh). One FastInterp is constructed per Vm::run
  * and shares the Vm's entire execution state (pool, volatile arena,
  * trace, outputs, watchdog counters, simulated clock) as a friend,
- * so a bytecode run is observably byte-identical to a tree-walk of
- * the same program: same RunResult, same trace, same probe firing
- * points, same costs accumulated in the same order.
+ * and charges every IR instruction once, in program order: its
+ * RunResult, trace, probe firing points and accumulated costs are
+ * the IR's step-by-step semantics, held byte-identical to the tree
+ * walker's recorded verdicts (tests/golden/tree_walker_verdicts.txt).
  *
  * Dispatch uses computed goto on GCC/Clang when the build enables
  * HIPPO_COMPUTED_GOTO (the default; see the top-level
@@ -63,7 +64,7 @@ class FastInterp
                       const ir::Instruction *call_site, int depth);
 
     /** Per-step prologue: step count, watchdog, crash injection,
-     *  probes, opcode census — in exactly the tree walker's order.
+     *  probes, opcode census — in that order, once per IR instruction.
      *  Fused handlers call this once per component instruction. */
     void stepPre(ir::Opcode op);
     void slowStepChecks();

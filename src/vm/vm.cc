@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -16,9 +15,6 @@
 namespace hippo::vm
 {
 
-using ir::Opcode;
-using ir::Type;
-
 const char *
 execOutcomeName(ExecOutcome o)
 {
@@ -30,42 +26,6 @@ execOutcomeName(ExecOutcome o)
     }
     return "?";
 }
-
-const char *
-vmEngineName(VmEngine e)
-{
-    switch (e) {
-      case VmEngine::Tree: return "tree";
-      case VmEngine::Bytecode: return "bytecode";
-      case VmEngine::Auto: return "auto";
-    }
-    return "?";
-}
-
-bool
-parseVmEngine(const std::string &s, VmEngine &out)
-{
-    if (s == "tree")
-        out = VmEngine::Tree;
-    else if (s == "bytecode")
-        out = VmEngine::Bytecode;
-    else if (s == "auto")
-        out = VmEngine::Auto;
-    else
-        return false;
-    return true;
-}
-
-/** One activation record. */
-struct Vm::Frame
-{
-    ir::Function *func = nullptr;
-    const Frame *parent = nullptr;
-    const ir::Instruction *callSite = nullptr; ///< call instr in parent
-    std::vector<uint64_t> args;
-    std::vector<uint64_t> regs;
-    const ir::Instruction *current = nullptr;
-};
 
 /**
  * One VM thread. Execution is strictly serialized: exactly one VM
@@ -100,8 +60,6 @@ struct Vm::ThreadCtx
     uint64_t spBase = 0;
     uint64_t spLimit = 0;
     std::vector<LiveAlloc> liveAllocs;
-    const Frame *curParent = nullptr;
-    const ir::Instruction *curCallSite = nullptr;
     std::set<uint64_t> dirtyLines;
     std::set<uint64_t> flushedLines;
     /// @}
@@ -145,29 +103,6 @@ Vm::~Vm()
     teardownThreads();
 }
 
-VmEngine
-resolveEngine(VmEngine e)
-{
-    if (e != VmEngine::Auto)
-        return e;
-    // Auto resolves to the fast path; HIPPO_VM_ENGINE=tree is the
-    // escape hatch for A/B debugging without recompiling callers.
-    static const VmEngine auto_engine = [] {
-        const char *v = std::getenv("HIPPO_VM_ENGINE");
-        VmEngine r = VmEngine::Bytecode;
-        if (v && parseVmEngine(v, r) && r == VmEngine::Auto)
-            r = VmEngine::Bytecode;
-        return r;
-    }();
-    return auto_engine;
-}
-
-VmEngine
-Vm::engineResolved() const
-{
-    return resolveEngine(cfg_.engine);
-}
-
 void
 Vm::ensureProgram()
 {
@@ -186,23 +121,6 @@ Vm::bytecode()
 {
     ensureProgram();
     return *program_;
-}
-
-uint64_t
-Vm::eval(const Frame &frame, const ir::Value *v) const
-{
-    treeEvals_++;
-    switch (v->kind()) {
-      case ir::ValueKind::Constant:
-        return static_cast<const ir::Constant *>(v)->value();
-      case ir::ValueKind::Argument:
-        return frame.args[static_cast<const ir::Argument *>(v)
-                              ->index()];
-      case ir::ValueKind::Instruction:
-        return frame
-            .regs[static_cast<const ir::Instruction *>(v)->id()];
-    }
-    hippo_panic("bad value kind");
 }
 
 bool
@@ -307,30 +225,9 @@ Vm::objectAt(uint64_t addr) const
     return ~0u;
 }
 
-std::vector<trace::StackFrame>
-Vm::captureStack(const Frame &frame, const ir::Instruction &instr) const
-{
-    std::vector<trace::StackFrame> stack;
-    stack.push_back({frame.func->name(), instr.id(), instr.loc().file,
-                     instr.loc().line});
-    for (const Frame *f = &frame; f->parent; f = f->parent) {
-        const ir::Instruction *cs = f->callSite;
-        stack.push_back({f->parent->func->name(), cs->id(),
-                         cs->loc().file, cs->loc().line});
-    }
-    return stack;
-}
-
 void
-Vm::recordDynPts(const Frame &frame, const ir::Value *ptr_value,
-                 uint64_t addr)
-{
-    recordDynPtsNamed(frame.func->name(), ptr_value, addr);
-}
-
-void
-Vm::recordDynPtsNamed(const std::string &func,
-                      const ir::Value *ptr_value, uint64_t addr)
+Vm::recordDynPts(const std::string &func,
+                 const ir::Value *ptr_value, uint64_t addr)
 {
     if (!cfg_.traceEnabled)
         return;
@@ -353,162 +250,14 @@ Vm::recordDynPtsNamed(const std::string &func,
     dynPts_.record(func, key, obj);
 }
 
-void
-Vm::execStore(Frame &frame, const ir::Instruction &instr)
-{
-    uint64_t value = eval(frame, instr.operand(0));
-    uint64_t addr = eval(frame, instr.operand(1));
-    uint64_t size = instr.accessSize();
-    uint8_t bytes[8];
-    std::memcpy(bytes, &value, 8);
-    bool pm = isPmAddr(addr);
-    rawStore(addr, bytes, size, instr.nonTemporal());
-    simNanos_ += cfg_.costs.storeNs;
-    ntStores_ += pm && instr.nonTemporal();
-
-    recordDynPts(frame, instr.operand(1), addr);
-    if (cfg_.traceEnabled && pm) {
-        trace::Event ev;
-        ev.kind = trace::EventKind::Store;
-        ev.addr = addr;
-        ev.size = size;
-        ev.isPm = true;
-        ev.nonTemporal = instr.nonTemporal();
-        ev.objectId = objectAt(addr);
-        ev.stack = captureStack(frame, instr);
-        emit(std::move(ev));
-    }
-}
-
-void
-Vm::execFlush(Frame &frame, const ir::Instruction &instr)
-{
-    uint64_t addr = eval(frame, instr.operand(0));
-    bool pm = isPmAddr(addr);
-    auto kind = instr.flushKind();
-    flushCounts_[kind]++;
-    simNanos_ += kind == ir::FlushKind::Clflush ? cfg_.costs.clflushNs
-                                                : cfg_.costs.flushNs;
-    if (pm) {
-        pool_->flush(addr, (pmem::FlushOp)kind);
-        noteFlushLine(addr);
-    }
-    if (cfg_.traceEnabled) {
-        trace::Event ev;
-        ev.kind = trace::EventKind::Flush;
-        ev.addr = addr;
-        ev.size = pmem::cacheLineSize;
-        ev.isPm = pm;
-        ev.sub = (uint8_t)kind;
-        ev.objectId = objectAt(addr);
-        ev.stack = captureStack(frame, instr);
-        emit(std::move(ev));
-    }
-}
-
-void
-Vm::execFence(Frame &frame, const ir::Instruction &instr)
-{
-    uint64_t pending = pool_->pendingWritebacks();
-    fenceCounts_[instr.fenceKind()]++;
-    simNanos_ += cfg_.costs.fenceBaseNs;
-    if (pending > 0) {
-        simNanos_ += cfg_.costs.fenceDrainNs +
-                     cfg_.costs.fencePerLineNs * (pending - 1);
-    }
-    pool_->fence();
-    noteFenceDrain();
-    if (cfg_.traceEnabled) {
-        trace::Event ev;
-        ev.kind = trace::EventKind::Fence;
-        ev.sub = (uint8_t)instr.fenceKind();
-        ev.stack = captureStack(frame, instr);
-        emit(std::move(ev));
-    }
-}
-
-void
-Vm::execMemcpy(Frame &frame, const ir::Instruction &instr)
-{
-    uint64_t dst = eval(frame, instr.operand(0));
-    uint64_t src = eval(frame, instr.operand(1));
-    uint64_t len = eval(frame, instr.operand(2));
-    if (len == 0)
-        return;
-    std::vector<uint8_t> buf(len);
-    rawLoad(src, buf.data(), len);
-    rawStore(dst, buf.data(), len, false);
-    simNanos_ += cfg_.costs.perByteCopyNs * len;
-
-    recordDynPts(frame, instr.operand(0), dst);
-    recordDynPts(frame, instr.operand(1), src);
-    if (cfg_.traceEnabled && isPmAddr(dst)) {
-        trace::Event ev;
-        ev.kind = trace::EventKind::Store;
-        ev.addr = dst;
-        ev.size = len;
-        ev.isPm = true;
-        ev.objectId = objectAt(dst);
-        ev.stack = captureStack(frame, instr);
-        emit(std::move(ev));
-    }
-}
-
-void
-Vm::execMemset(Frame &frame, const ir::Instruction &instr)
-{
-    uint64_t dst = eval(frame, instr.operand(0));
-    uint64_t byte = eval(frame, instr.operand(1));
-    uint64_t len = eval(frame, instr.operand(2));
-    if (len == 0)
-        return;
-    std::vector<uint8_t> buf(len, (uint8_t)byte);
-    rawStore(dst, buf.data(), len, false);
-    simNanos_ += cfg_.costs.perByteCopyNs * len;
-
-    recordDynPts(frame, instr.operand(0), dst);
-    if (cfg_.traceEnabled && isPmAddr(dst)) {
-        trace::Event ev;
-        ev.kind = trace::EventKind::Store;
-        ev.addr = dst;
-        ev.size = len;
-        ev.isPm = true;
-        ev.objectId = objectAt(dst);
-        ev.stack = captureStack(frame, instr);
-        emit(std::move(ev));
-    }
-}
-
-uint64_t
-Vm::execPmMap(Frame &frame, const ir::Instruction &instr)
-{
-    uint64_t base =
-        pool_->mapRegion(instr.symbol(), instr.regionSize());
-    if (cfg_.traceEnabled) {
-        uint32_t obj =
-            trace_.internObject("pm:" + instr.symbol(), true);
-        pmObjects_[base] = {instr.regionSize(), obj};
-        trace::Event ev;
-        ev.kind = trace::EventKind::PmMap;
-        ev.addr = base;
-        ev.size = instr.regionSize();
-        ev.isPm = true;
-        ev.objectId = obj;
-        ev.symbol = instr.symbol();
-        ev.stack = captureStack(frame, instr);
-        emit(std::move(ev));
-    }
-    return base;
-}
-
 /// @name Deterministic scheduler
 ///
 /// Exactly one VM thread executes at any time; the rest park on the
 /// SchedState condvar. Every schedule decision is a pure function of
 /// the SchedulePlan and the (deterministic) visible-op stream, so a
-/// plan replays byte-identically on either engine and at any host
-/// parallelism — which is also what makes the whole construction
-/// TSAN-clean: Vm state is only touched by the token holder.
+/// plan replays byte-identically at any host parallelism — which is
+/// also what makes the whole construction TSAN-clean: Vm state is
+/// only touched by the token holder.
 /// @{
 
 void
@@ -603,8 +352,6 @@ Vm::saveCurrentCtx(ThreadCtx &t)
     t.spLimit = volatileLimit_;
     t.liveAllocs = std::move(liveAllocs_);
     liveAllocs_.clear();
-    t.curParent = curParent_;
-    t.curCallSite = curCallSite_;
     t.dirtyLines = std::move(curDirtyLines_);
     curDirtyLines_.clear();
     t.flushedLines = std::move(curFlushedLines_);
@@ -619,8 +366,6 @@ Vm::loadCtx(ThreadCtx &t)
     volatileLimit_ = t.spLimit;
     liveAllocs_ = std::move(t.liveAllocs);
     t.liveAllocs.clear();
-    curParent_ = t.curParent;
-    curCallSite_ = t.curCallSite;
     curDirtyLines_ = std::move(t.dirtyLines);
     t.dirtyLines.clear();
     curFlushedLines_ = std::move(t.flushedLines);
@@ -763,18 +508,14 @@ Vm::threadEntry(uint32_t tid)
         me.state = ThreadCtx::State::Running;
     }
     try {
-        uint64_t rv = 0;
-        if (engineResolved() == VmEngine::Bytecode) {
-            // Per-thread interpreter: its register arena is private,
-            // and its counter merge in ~FastInterp happens while this
-            // thread still holds the token (or, on teardown, while
-            // the token passes strictly sequentially).
+        // Per-thread interpreter: its register arena is private, and
+        // its counter merge in ~FastInterp happens while this thread
+        // still holds the token (or, on teardown, while the token
+        // passes strictly sequentially).
+        {
             FastInterp fi(*this, *program_);
-            rv = fi.call(me.func, me.args);
-        } else {
-            rv = callFunction(me.func, me.args, 0);
+            me.retVal = fi.call(me.func, me.args);
         }
-        me.retVal = rv;
         schedYield(Park::Finished);
     } catch (ThreadAbort &) {
         std::lock_guard<std::mutex> lk(S.mu);
@@ -1034,288 +775,6 @@ Vm::atomicRmwBody(const ir::Instruction &instr, uint64_t addr,
 
 /// @}
 
-uint64_t
-Vm::callFunction(ir::Function *f, const std::vector<uint64_t> &args,
-                 int depth)
-{
-    hippo_assert(f->entry(), "calling empty function");
-    if (depth > 512)
-        trapOrFatal(format("call depth limit exceeded in @%s",
-                           f->name().c_str()));
-
-    Frame frame;
-    frame.func = f;
-    frame.parent = curParent_;
-    frame.callSite = curCallSite_;
-    frame.args = args;
-    frame.regs.assign(f->idBound(), 0);
-
-    uint64_t saved_sp = volatileSp_;
-    size_t saved_allocs = liveAllocs_.size();
-
-    const auto &costs = cfg_.costs;
-    ir::BasicBlock *bb = f->entry();
-    auto it = bb->begin();
-
-    uint64_t ret_value = 0;
-    while (true) {
-        hippo_assert(it != bb->end(), "fell off block %s in @%s",
-                     bb->name().c_str(), f->name().c_str());
-        ir::Instruction &instr = **it;
-        frame.current = &instr;
-        if (++steps_ > cfg_.maxSteps) {
-            if (cfg_.sandbox)
-                throw WatchdogSignal{ExecOutcome::Timeout,
-                                     "global step limit exceeded"};
-            hippo_fatal("step limit exceeded (infinite loop?)");
-        }
-        if (cfg_.stepBudget || cfg_.timeBudgetMs)
-            checkWatchdog(steps_ - runStartSteps_);
-        if (cfg_.crashAtStep &&
-            steps_ - runStartSteps_ >= cfg_.crashAtStep)
-            throw CrashSignal{};
-        if (cfg_.stepProbeStride &&
-            (steps_ - runStartSteps_) % cfg_.stepProbeStride == 0)
-            cfg_.stepProbe(steps_ - runStartSteps_);
-        opcodeCounts_[instr.op()]++;
-
-        switch (instr.op()) {
-          case Opcode::Alloca: {
-            uint64_t bytes = (instr.accessSize() + 15) & ~15ULL;
-            if (cfg_.heapBudget &&
-                volatileSp_ - volatileSpBase_ + bytes >
-                    cfg_.heapBudget) {
-                throw WatchdogSignal{
-                    ExecOutcome::BudgetExceeded,
-                    format("volatile heap budget exceeded (%llu bytes)",
-                           (unsigned long long)cfg_.heapBudget)};
-            }
-            if (volatileSp_ + bytes > volatileLimit_)
-                trapOrFatal("volatile arena exhausted");
-            uint64_t addr = volatileBaseAddr + volatileSp_;
-            volatileSp_ += bytes;
-            std::memset(&volatileMem_[addr - volatileBaseAddr], 0,
-                        bytes);
-            if (cfg_.traceEnabled) {
-                uint32_t obj = trace_.internObject(
-                    format("%s#%u", f->name().c_str(), instr.id()),
-                    false);
-                liveAllocs_.push_back(
-                    {addr, addr + instr.accessSize(), obj});
-            }
-            frame.regs[instr.id()] = addr;
-            simNanos_ += costs.aluNs;
-            break;
-          }
-          case Opcode::Load: {
-            uint64_t addr = eval(frame, instr.operand(0));
-            uint64_t v = 0;
-            rawLoad(addr, reinterpret_cast<uint8_t *>(&v),
-                    instr.accessSize());
-            frame.regs[instr.id()] = v;
-            simNanos_ +=
-                isPmAddr(addr) ? costs.pmLoadNs : costs.loadNs;
-            break;
-          }
-          case Opcode::Store:
-            execStore(frame, instr);
-            break;
-          case Opcode::Flush:
-            execFlush(frame, instr);
-            break;
-          case Opcode::Fence:
-            execFence(frame, instr);
-            break;
-          case Opcode::Gep: {
-            uint64_t base = eval(frame, instr.operand(0));
-            uint64_t off = eval(frame, instr.operand(1));
-            frame.regs[instr.id()] = base + off;
-            simNanos_ += costs.aluNs;
-            break;
-          }
-          case Opcode::Bin: {
-            uint64_t l = eval(frame, instr.operand(0));
-            uint64_t r = eval(frame, instr.operand(1));
-            uint64_t v = 0;
-            switch (instr.binOp()) {
-              case ir::BinOp::Add: v = l + r; break;
-              case ir::BinOp::Sub: v = l - r; break;
-              case ir::BinOp::Mul: v = l * r; break;
-              case ir::BinOp::UDiv:
-                if (!r)
-                    trapOrFatal("division by zero");
-                v = l / r;
-                break;
-              case ir::BinOp::URem:
-                if (!r)
-                    trapOrFatal("remainder by zero");
-                v = l % r;
-                break;
-              case ir::BinOp::And: v = l & r; break;
-              case ir::BinOp::Or: v = l | r; break;
-              case ir::BinOp::Xor: v = l ^ r; break;
-              case ir::BinOp::Shl: v = l << (r & 63); break;
-              case ir::BinOp::LShr: v = l >> (r & 63); break;
-            }
-            frame.regs[instr.id()] = v;
-            simNanos_ += costs.aluNs;
-            break;
-          }
-          case Opcode::Cmp: {
-            uint64_t l = eval(frame, instr.operand(0));
-            uint64_t r = eval(frame, instr.operand(1));
-            int64_t sl = (int64_t)l, sr = (int64_t)r;
-            bool v = false;
-            switch (instr.cmpPred()) {
-              case ir::CmpPred::Eq: v = l == r; break;
-              case ir::CmpPred::Ne: v = l != r; break;
-              case ir::CmpPred::Ult: v = l < r; break;
-              case ir::CmpPred::Ule: v = l <= r; break;
-              case ir::CmpPred::Ugt: v = l > r; break;
-              case ir::CmpPred::Uge: v = l >= r; break;
-              case ir::CmpPred::Slt: v = sl < sr; break;
-              case ir::CmpPred::Sle: v = sl <= sr; break;
-              case ir::CmpPred::Sgt: v = sl > sr; break;
-              case ir::CmpPred::Sge: v = sl >= sr; break;
-            }
-            frame.regs[instr.id()] = v ? 1 : 0;
-            simNanos_ += costs.aluNs;
-            break;
-          }
-          case Opcode::Select: {
-            uint64_t c = eval(frame, instr.operand(0));
-            frame.regs[instr.id()] =
-                eval(frame, instr.operand(c ? 1 : 2));
-            simNanos_ += costs.aluNs;
-            break;
-          }
-          case Opcode::Br:
-            bb = instr.target(0);
-            it = bb->begin();
-            simNanos_ += costs.aluNs;
-            continue;
-          case Opcode::CondBr: {
-            uint64_t c = eval(frame, instr.operand(0));
-            bb = instr.target(c ? 0 : 1);
-            it = bb->begin();
-            simNanos_ += costs.aluNs;
-            continue;
-          }
-          case Opcode::Call: {
-            std::vector<uint64_t> call_args(instr.numOperands());
-            for (size_t i = 0; i < instr.numOperands(); i++) {
-                call_args[i] = eval(frame, instr.operand(i));
-                if (instr.operand(i)->type() == Type::Ptr)
-                    recordDynPts(frame, instr.operand(i),
-                                 call_args[i]);
-            }
-            simNanos_ += costs.callNs;
-            const Frame *saved_parent = curParent_;
-            const ir::Instruction *saved_cs = curCallSite_;
-            curParent_ = &frame;
-            curCallSite_ = &instr;
-            uint64_t rv =
-                callFunction(instr.callee(), call_args, depth + 1);
-            curParent_ = saved_parent;
-            curCallSite_ = saved_cs;
-            if (instr.hasResult())
-                frame.regs[instr.id()] = rv;
-            break;
-          }
-          case Opcode::Ret:
-            ret_value = instr.numOperands()
-                            ? eval(frame, instr.operand(0))
-                            : 0;
-            volatileSp_ = saved_sp;
-            liveAllocs_.resize(saved_allocs);
-            simNanos_ += costs.callNs;
-            return ret_value;
-          case Opcode::PmMap:
-            frame.regs[instr.id()] = execPmMap(frame, instr);
-            simNanos_ += costs.aluNs;
-            break;
-          case Opcode::Memcpy:
-            execMemcpy(frame, instr);
-            break;
-          case Opcode::Memset:
-            execMemset(frame, instr);
-            break;
-          case Opcode::DurPoint: {
-            if (cfg_.traceEnabled) {
-                trace::Event ev;
-                ev.kind = trace::EventKind::DurPoint;
-                ev.symbol = instr.symbol();
-                ev.stack = captureStack(frame, instr);
-                emit(std::move(ev));
-            }
-            int64_t n = durPointsSeen_++;
-            if (cfg_.durPointProbe)
-                cfg_.durPointProbe((uint64_t)n,
-                                   steps_ - runStartSteps_,
-                                   instr.symbol());
-            if (cfg_.crashAtDurPoint >= 0 &&
-                n == cfg_.crashAtDurPoint) {
-                volatileSp_ = saved_sp;
-                liveAllocs_.resize(saved_allocs);
-                throw CrashSignal{};
-            }
-            break;
-          }
-          case Opcode::Print: {
-            uint64_t v = eval(frame, instr.operand(0));
-            outputs_.push_back({instr.symbol(), v});
-            if (cfg_.traceEnabled && cfg_.traceOutputs) {
-                trace::Event ev;
-                ev.kind = trace::EventKind::Output;
-                ev.symbol = instr.symbol();
-                ev.value = v;
-                ev.stack = captureStack(frame, instr);
-                emit(std::move(ev));
-            }
-            break;
-          }
-          case Opcode::ThreadSpawn: {
-            std::vector<uint64_t> spawn_args(instr.numOperands());
-            for (size_t i = 0; i < instr.numOperands(); i++)
-                spawn_args[i] = eval(frame, instr.operand(i));
-            simNanos_ += costs.callNs;
-            frame.regs[instr.id()] =
-                threadSpawnBody(instr, std::move(spawn_args));
-            break;
-          }
-          case Opcode::ThreadJoin: {
-            uint64_t tid = eval(frame, instr.operand(0));
-            simNanos_ += costs.callNs;
-            frame.regs[instr.id()] = threadJoinBody(tid);
-            break;
-          }
-          case Opcode::AtomicLoad: {
-            uint64_t addr = eval(frame, instr.operand(0));
-            frame.regs[instr.id()] = atomicLoadBody(instr, addr);
-            break;
-          }
-          case Opcode::AtomicStore: {
-            uint64_t value = eval(frame, instr.operand(0));
-            uint64_t addr = eval(frame, instr.operand(1));
-            atomicStoreBody(instr, value, addr, [&] {
-                return captureStack(frame, instr);
-            });
-            break;
-          }
-          case Opcode::AtomicRmw: {
-            uint64_t addr = eval(frame, instr.operand(0));
-            uint64_t operand = eval(frame, instr.operand(1));
-            frame.regs[instr.id()] =
-                atomicRmwBody(instr, addr, operand, [&] {
-                    return captureStack(frame, instr);
-                });
-            break;
-          }
-        }
-        ++it;
-    }
-}
-
 std::string
 Vm::statsString() const
 {
@@ -1390,8 +849,6 @@ Vm::exportMetrics(support::MetricsRegistry &reg,
         reg.counter(prefix + ".sched.deadlocks")
             .inc(schedDeadlocks_);
     }
-    reg.counter(prefix + ".tree.runs").inc(treeRuns_);
-    reg.counter(prefix + ".tree.operand_evals").inc(treeEvals_);
     reg.counter(prefix + ".fast.runs").inc(fastRuns_);
     reg.counter(prefix + ".fast.steps").inc(fastSteps_);
     reg.counter(prefix + ".fast.dispatches").inc(fastDispatches_);
@@ -1413,8 +870,6 @@ RunResult
 Vm::run(const std::string &function, std::vector<uint64_t> args)
 {
     durPointsSeen_ = 0;
-    curParent_ = nullptr;
-    curCallSite_ = nullptr;
     curTid_ = 0;
     volatileSpBase_ = 0;
     volatileLimit_ = volatileMem_.size();
@@ -1423,16 +878,11 @@ Vm::run(const std::string &function, std::vector<uint64_t> args)
     raceSeq_ = 0;
     curDirtyLines_.clear();
     curFlushedLines_.clear();
-    const bool fast = engineResolved() == VmEngine::Bytecode;
-    if (fast)
-        ensureProgram();
+    ensureProgram();
     // Line tracking costs a set insert per PM store, so it is only
     // armed for modules that can exhibit cross-thread durability
-    // races at all; a compiled program records that once.
-    if (lineTracking_ < 0)
-        lineTracking_ = fast ? program_->threaded
-                             : ir::moduleIsThreaded(*module_);
-    lineTrackingEnabled_ = lineTracking_ == 1;
+    // races at all; the compiled program records that once.
+    lineTrackingEnabled_ = program_->threaded;
     double nanos_before = simNanos_;
     uint64_t steps_before = steps_;
     runStartSteps_ = steps_;
@@ -1447,15 +897,12 @@ Vm::run(const std::string &function, std::vector<uint64_t> args)
                                function.c_str()));
         hippo_assert(args.size() == f->numParams(),
                      "run() arity mismatch");
-        if (fast) {
-            fastRuns_++;
+        fastRuns_++;
+        {
             // Destroyed (merging its flat counters into the maps)
             // during unwinding, before the handlers below run.
             FastInterp fi(*this, *program_);
             res.returnValue = fi.call(f, args);
-        } else {
-            treeRuns_++;
-            res.returnValue = callFunction(f, args, 0);
         }
         joinAllSpawned();
     } catch (CrashSignal &) {

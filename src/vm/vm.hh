@@ -75,38 +75,14 @@ enum class ExecOutcome : uint8_t
 const char *execOutcomeName(ExecOutcome o);
 
 /**
- * Which interpreter executes runs. Tree is the original
- * tree-walking oracle; Bytecode is the compiled direct-threaded
- * fast path (DESIGN.md "Bytecode fast path") — observably
- * byte-identical by construction and enforced by the differential
- * suite (tests/test_fast_interp.cc). Auto resolves to Bytecode
- * unless the HIPPO_VM_ENGINE environment variable says "tree".
- */
-enum class VmEngine : uint8_t
-{
-    Tree,
-    Bytecode,
-    Auto,
-};
-
-const char *vmEngineName(VmEngine e);
-
-/** The engine @p e runs with: Auto resolves to Bytecode unless
- *  HIPPO_VM_ENGINE says "tree". */
-VmEngine resolveEngine(VmEngine e);
-
-/** Parse "tree" / "bytecode" / "auto"; false on anything else. */
-bool parseVmEngine(const std::string &s, VmEngine &out);
-
-/**
  * A deterministic thread schedule for one run (DESIGN.md "Thread
  * model & interleaving-bounded exploration"). The scheduler is
  * cooperative round-robin: a switch happens when a thread blocks on a
  * join or finishes, plus a forced preemption before the visible op
  * (thread_spawn / thread_join / atomic_*) whose global index appears
  * in preemptAt. A plan is pure data, so the same plan replays the
- * same interleaving on either engine at any host parallelism — the
- * schedule is a pure function of the plan, never of wall clock.
+ * same interleaving at any host parallelism — the schedule is a pure
+ * function of the plan, never of wall clock.
  */
 struct SchedulePlan
 {
@@ -181,9 +157,6 @@ struct VmConfig
     uint64_t maxSteps = 1ULL << 33; ///< runaway guard
     uint64_t volatileBytes = 16ULL << 20;
     CostModel costs;
-
-    /** Interpreter selection (see VmEngine). */
-    VmEngine engine = VmEngine::Auto;
 
     /**
      * A compiled program of the module, shared read-only between
@@ -294,10 +267,12 @@ class DynPointsTo
 };
 
 /**
- * The interpreter. The PmPool is owned by the caller so its
- * persistent image can survive across runs (crash-recovery tests
- * construct one pool and run the program, crash it, then run a
- * recovery entry point against the same pool).
+ * The interpreter. Each run compiles the module to bytecode once
+ * (or takes VmConfig::program) and executes it with a FastInterp
+ * (DESIGN.md "Bytecode fast path"). The PmPool is owned by the
+ * caller so its persistent image can survive across runs
+ * (crash-recovery tests construct one pool and run the program,
+ * crash it, then run a recovery entry point against the same pool).
  *
  * Threading contract (DESIGN.md "Threading model"): a Vm never
  * mutates the Module it executes, so independent Vm instances over
@@ -314,9 +289,6 @@ class Vm
     /** Execute @p function (by name) with integer/pointer args. */
     RunResult run(const std::string &function,
                   std::vector<uint64_t> args = {});
-
-    /** The engine runs actually use (Auto resolved). */
-    VmEngine engineResolved() const;
 
     /** Compiled bytecode (compiling now if needed). */
     const BcProgram &bytecode();
@@ -357,14 +329,11 @@ class Vm
     /**
      * @name Deterministic dispatch-cost probes
      *
-     * The perf gate (bench_vm_dispatch) compares engines through
-     * these instead of wall clock: the tree walker pays one operand
-     * resolution per eval() call on top of its per-step dispatch,
-     * while the fast path pays one handler dispatch per bytecode
-     * record (superinstructions count once).
+     * One handler dispatch per bytecode record (superinstructions
+     * count once); the perf gate (bench_vm_dispatch) reads these
+     * instead of wall clock.
      */
     /// @{
-    uint64_t treeOperandEvals() const { return treeEvals_; }
     uint64_t fastDispatches() const { return fastDispatches_; }
     uint64_t fastSuperExecuted() const { return fastSuper_; }
     /// @}
@@ -385,29 +354,17 @@ class Vm
                        const std::string &prefix = "vm") const;
 
   private:
-    struct Frame;
     struct ThreadCtx;
     struct SchedState;
 
     /** The fast interpreter shares all execution state. */
     friend class FastInterp;
 
-    uint64_t eval(const Frame &frame, const ir::Value *v) const;
-    uint64_t callFunction(ir::Function *f,
-                          const std::vector<uint64_t> &args, int depth);
-    void execStore(Frame &frame, const ir::Instruction &instr);
-    void execFlush(Frame &frame, const ir::Instruction &instr);
-    void execFence(Frame &frame, const ir::Instruction &instr);
-    void execMemcpy(Frame &frame, const ir::Instruction &instr);
-    void execMemset(Frame &frame, const ir::Instruction &instr);
-    uint64_t execPmMap(Frame &frame, const ir::Instruction &instr);
-
-    /// @name Thread/atomic bodies shared by both engines
+    /// @name Thread/atomic bodies
     ///
-    /// Both interpreters funnel the five scheduler-visible opcodes
-    /// through these, so visible-op counting, preemption placement,
-    /// and race detection are identical by construction (the same
-    /// argument as the differential trace suite).
+    /// The interpreter funnels the five scheduler-visible opcodes
+    /// through these, which count visible ops, place preemptions and
+    /// detect races.
     /// @{
     using StackCapture =
         std::function<std::vector<trace::StackFrame>()>;
@@ -458,16 +415,10 @@ class Vm
     /** Trace-object id owning @p addr; ~0u when unknown. */
     uint32_t objectAt(uint64_t addr) const;
 
-    std::vector<trace::StackFrame>
-    captureStack(const Frame &frame, const ir::Instruction &instr) const;
-
-    void recordDynPts(const Frame &frame, const ir::Value *ptr_value,
-                      uint64_t addr);
-
-    /** recordDynPts keyed by function name (shared with the fast
-     *  interpreter, whose frames are not Vm::Frame). */
-    void recordDynPtsNamed(const std::string &func,
-                           const ir::Value *ptr_value, uint64_t addr);
+    /** Note that @p ptr_value in @p func pointed at @p addr's trace
+     *  object (tracing only). */
+    void recordDynPts(const std::string &func,
+                      const ir::Value *ptr_value, uint64_t addr);
 
     /** Compile the module to bytecode if not already done. */
     void ensureProgram();
@@ -536,14 +487,11 @@ class Vm
     std::map<ir::FenceKind, uint64_t> fenceCounts_;
     int64_t durPointsSeen_ = 0;
 
-    /** Bytecode (fast engine only): VmConfig::program, or compiled
-     *  lazily by this Vm. */
+    /** Bytecode: VmConfig::program, or compiled lazily by this Vm. */
     std::shared_ptr<const BcProgram> program_;
 
-    /// @name Engine census (vm.tree.* / vm.fast.* counters)
+    /// @name Interpreter census (vm.fast.* counters)
     /// @{
-    uint64_t treeRuns_ = 0;
-    mutable uint64_t treeEvals_ = 0; ///< Vm::eval calls (tree only)
     uint64_t fastRuns_ = 0;
     uint64_t fastSteps_ = 0;
     uint64_t fastDispatches_ = 0;
@@ -551,16 +499,11 @@ class Vm
     uint64_t fastCompiles_ = 0;
     /// @}
 
-    /** Dynamic call-chain bookkeeping for stack capture. */
-    const Frame *curParent_ = nullptr;
-    const ir::Instruction *curCallSite_ = nullptr;
-
     /// @name Scheduler state (vm.sched.* counters)
     /// @{
     std::unique_ptr<SchedState> sched_; ///< null until first spawn
     uint32_t curTid_ = 0;     ///< running VM thread (0 = main)
-    int lineTracking_ = -1;   ///< module has threads/atomics (lazy)
-    bool lineTrackingEnabled_ = false;
+    bool lineTrackingEnabled_ = false; ///< module is threaded
     /** Current thread's PM lines with a store not yet flushed /
      *  flushed but not yet fenced (swapped at context switches). */
     std::set<uint64_t> curDirtyLines_;

@@ -59,6 +59,14 @@ expect 3 "no optimizer recovery function" \
 for f in "$SRC"/tests/corpus/bad/*.pmir; do
     expect 3 "bad corpus: $(basename "$f")" "$HIPPOC" "$f"
 done
+# Well-formed modules whose run traps (division by zero, an
+# out-of-bounds store) are input errors too, with or without a
+# watchdog budget.
+for f in "$SRC"/tests/corpus/runtime/*.pmir; do
+    expect 3 "runtime trap: $(basename "$f")" "$HIPPOC" "$f"
+    expect 3 "runtime trap, budgeted: $(basename "$f")" \
+        "$HIPPOC" "$f" --step-budget 100000
+done
 
 # 4 — resource error: output path in a nonexistent directory.
 expect 4 "unwritable output" \

@@ -1,15 +1,15 @@
 /**
  * @file
- * Differential suite for the bytecode fast path (DESIGN.md "Bytecode
- * fast path"): the compiled direct-threaded interpreter must be
- * observably byte-identical to the tree-walking oracle — RunResult
- * (including bit-exact simulated time), trace, outputs, probe firing
- * points, watchdog verdicts, and whole-exploration recovery digests —
+ * Golden suite for the bytecode interpreter (DESIGN.md "Bytecode fast
+ * path"): every run and exploration must reproduce, byte for byte,
+ * the verdict the tree-walking interpreter recorded for it in
+ * tests/golden/tree_walker_verdicts.txt — RunResult (including
+ * bit-exact simulated time), trace, outputs, probe firing points,
+ * watchdog verdicts, and every field of whole-exploration results —
  * across the application corpus, 64 generated PM programs, both
- * replay engines, and multiple jobs settings. Each verdict is also
- * frozen in tests/golden/tree_walker_verdicts.txt, which both engines
- * must match. Also pins the bytecode encoding with a golden
- * disassembly (HIPPO_REGEN_GOLDEN=1 rewrites both goldens).
+ * replay engines, and multiple jobs settings. Also pins the bytecode
+ * encoding with a golden disassembly (HIPPO_REGEN_GOLDEN=1 rewrites
+ * that one).
  */
 
 #include <cstdlib>
@@ -111,11 +111,9 @@ struct RunCapture
 
 RunCapture
 capture(ir::Module *m, const std::string &entry,
-        std::vector<uint64_t> args, vm::VmEngine engine,
-        vm::VmConfig vc = {})
+        std::vector<uint64_t> args, vm::VmConfig vc = {})
 {
     pmem::PmPool pool(16u << 20);
-    vc.engine = engine;
     std::vector<uint64_t> probes;
     vc.stepProbeStride = vc.stepProbeStride ? vc.stepProbeStride : 7;
     vc.stepProbe = [&](uint64_t s) { probes.push_back(s); };
@@ -126,18 +124,11 @@ capture(ir::Module *m, const std::string &entry,
     return c;
 }
 
-/** Both engines give the frozen verdict @p key (HIPPO_REGEN_GOLDEN=1
- *  freezes the tree walker's). */
+/** @p verdict is the tree walker's recorded verdict @p key. */
 void
-expectFrozen(const std::string &key, const std::string &tree,
-             const std::string &fast)
+expectFrozen(const std::string &key, const std::string &verdict)
 {
-    EXPECT_EQ(tree, fast) << key;
-    if (regenVerdicts()) {
-        writeVerdict(key, tree);
-        return;
-    }
-    EXPECT_EQ(fast, frozenVerdict(key)) << key;
+    EXPECT_EQ(verdict, frozenVerdict(key)) << key;
 }
 
 void
@@ -145,29 +136,10 @@ expectRunParity(const std::string &key, ir::Module *m,
                 const std::string &entry, std::vector<uint64_t> args,
                 vm::VmConfig vc = {})
 {
-    auto tree = capture(m, entry, args, vm::VmEngine::Tree, vc);
-    auto fast = capture(m, entry, args, vm::VmEngine::Bytecode, vc);
-    expectFrozen(key, tree.verdict, fast.verdict);
+    expectFrozen(key, capture(m, entry, std::move(args), vc).verdict);
 }
 
 } // namespace
-
-TEST(FastInterp, EngineSelection)
-{
-    auto m = buildSpinModule();
-    pmem::PmPool pool(1u << 16);
-    vm::VmConfig vc;
-    vc.engine = vm::VmEngine::Tree;
-    vm::Vm tree(m.get(), &pool, vc);
-    EXPECT_EQ(tree.engineResolved(), vm::VmEngine::Tree);
-    vc.engine = vm::VmEngine::Bytecode;
-    vm::Vm fast(m.get(), &pool, vc);
-    EXPECT_EQ(fast.engineResolved(), vm::VmEngine::Bytecode);
-    EXPECT_EQ(fast.run("spin", {25}).returnValue, 0u);
-    EXPECT_GT(fast.fastDispatches(), 0u);
-    EXPECT_GT(fast.fastSuperExecuted(), 0u);
-    EXPECT_EQ(tree.fastDispatches(), 0u);
-}
 
 TEST(FastInterp, RunParitySyntheticLoops)
 {
@@ -212,14 +184,11 @@ TEST(FastInterp, CrashAtStepParity)
     for (uint64_t at : {5u, 23u, 117u}) {
         vm::VmConfig vc;
         vc.crashAtStep = at;
-        auto tree = capture(append.get(), "append", {64},
-                            vm::VmEngine::Tree, vc);
-        auto fast = capture(append.get(), "append", {64},
-                            vm::VmEngine::Bytecode, vc);
-        EXPECT_TRUE(tree.res.crashed);
+        auto fast = capture(append.get(), "append", {64}, vc);
+        EXPECT_TRUE(fast.res.crashed);
         expectFrozen(format("FastInterp.CrashAtStepParity/%llu",
                             (unsigned long long)at),
-                     tree.verdict, fast.verdict);
+                     fast.verdict);
     }
 }
 
@@ -228,13 +197,9 @@ TEST(FastInterp, CrashAtDurPointParity)
     auto log = apps::buildPmlog({});
     vm::VmConfig vc;
     vc.crashAtDurPoint = 3;
-    auto tree =
-        capture(log.get(), "log_example", {8}, vm::VmEngine::Tree, vc);
-    auto fast = capture(log.get(), "log_example", {8},
-                        vm::VmEngine::Bytecode, vc);
-    EXPECT_TRUE(tree.res.crashed);
-    expectFrozen("FastInterp.CrashAtDurPointParity", tree.verdict,
-                 fast.verdict);
+    auto fast = capture(log.get(), "log_example", {8}, vc);
+    EXPECT_TRUE(fast.res.crashed);
+    expectFrozen("FastInterp.CrashAtDurPointParity", fast.verdict);
 }
 
 TEST(FastInterp, WatchdogTimeoutParity)
@@ -243,13 +208,9 @@ TEST(FastInterp, WatchdogTimeoutParity)
     vm::VmConfig vc;
     vc.sandbox = true;
     vc.stepBudget = 100; // far less than the loop needs
-    auto tree = capture(spin.get(), "spin", {100000},
-                        vm::VmEngine::Tree, vc);
-    auto fast = capture(spin.get(), "spin", {100000},
-                        vm::VmEngine::Bytecode, vc);
-    EXPECT_EQ(tree.res.outcome, vm::ExecOutcome::Timeout);
-    expectFrozen("FastInterp.WatchdogTimeoutParity", tree.verdict,
-                 fast.verdict);
+    auto fast = capture(spin.get(), "spin", {100000}, vc);
+    EXPECT_EQ(fast.res.outcome, vm::ExecOutcome::Timeout);
+    expectFrozen("FastInterp.WatchdogTimeoutParity", fast.verdict);
 }
 
 TEST(FastInterp, GlobalStepLimitParity)
@@ -258,14 +219,10 @@ TEST(FastInterp, GlobalStepLimitParity)
     vm::VmConfig vc;
     vc.sandbox = true;
     vc.maxSteps = 64;
-    auto tree = capture(spin.get(), "spin", {100000},
-                        vm::VmEngine::Tree, vc);
-    auto fast = capture(spin.get(), "spin", {100000},
-                        vm::VmEngine::Bytecode, vc);
-    EXPECT_EQ(tree.res.outcome, vm::ExecOutcome::Timeout);
-    EXPECT_EQ(tree.res.diag, "global step limit exceeded");
-    expectFrozen("FastInterp.GlobalStepLimitParity", tree.verdict,
-                 fast.verdict);
+    auto fast = capture(spin.get(), "spin", {100000}, vc);
+    EXPECT_EQ(fast.res.outcome, vm::ExecOutcome::Timeout);
+    EXPECT_EQ(fast.res.diag, "global step limit exceeded");
+    expectFrozen("FastInterp.GlobalStepLimitParity", fast.verdict);
 }
 
 TEST(FastInterp, HeapBudgetParity)
@@ -276,20 +233,16 @@ TEST(FastInterp, HeapBudgetParity)
     vm::VmConfig vc;
     vc.sandbox = true;
     vc.heapBudget = 4;
-    auto tree =
-        capture(spin.get(), "spin", {4}, vm::VmEngine::Tree, vc);
-    auto fast =
-        capture(spin.get(), "spin", {4}, vm::VmEngine::Bytecode, vc);
-    EXPECT_EQ(tree.res.outcome, vm::ExecOutcome::BudgetExceeded);
-    expectFrozen("FastInterp.HeapBudgetParity", tree.verdict,
-                 fast.verdict);
+    auto fast = capture(spin.get(), "spin", {4}, vc);
+    EXPECT_EQ(fast.res.outcome, vm::ExecOutcome::BudgetExceeded);
+    expectFrozen("FastInterp.HeapBudgetParity", fast.verdict);
 }
 
 TEST(FastInterp, ExplorationParityMatrix)
 {
     // One workload per app; each explored with both replay engines
-    // and jobs in {1, 4}: the bytecode interpreter must reproduce the
-    // tree walker's ExplorationResult exactly everywhere.
+    // and jobs in {1, 4}: every leg must reproduce the tree walker's
+    // recorded ExplorationResult exactly.
     struct Case
     {
         std::unique_ptr<ir::Module> m;
@@ -316,22 +269,16 @@ TEST(FastInterp, ExplorationParityMatrix)
                 xc.stepStride = 16;
                 xc.engine = replay;
                 xc.jobs = jobs;
-                xc.vmEngine = vm::VmEngine::Tree;
-                auto tree = pmcheck::exploreCrashes(c.m.get(), xc);
-                xc.vmEngine = vm::VmEngine::Bytecode;
                 auto fast = pmcheck::exploreCrashes(c.m.get(), xc);
-                EXPECT_TRUE(tree == fast)
+                EXPECT_EQ(explorationVerdict(fast),
+                          frozenVerdict(std::string(
+                              "FastInterp.ExplorationParityMatrix/") +
+                                        c.entry))
                     << c.entry << " replay="
                     << (replay == pmcheck::ExploreEngine::Legacy
                             ? "legacy"
                             : "snapshot")
                     << " jobs=" << jobs;
-                EXPECT_EQ(pmcheck::recoveryDigest(tree),
-                          pmcheck::recoveryDigest(fast));
-                expectFrozen(
-                    std::string("FastInterp.ExplorationParityMatrix/") +
-                        c.entry,
-                    explorationVerdict(tree), explorationVerdict(fast));
             }
         }
     }
@@ -340,7 +287,7 @@ TEST(FastInterp, ExplorationParityMatrix)
 TEST(FastInterp, ExplorationParityBugsuite)
 {
     // First few PMDK reproducers, buggy builds: crash exploration
-    // digests must match across interpreter engines.
+    // results must match the tree walker's recorded ones.
     const auto &cases = apps::pmdkBugCases();
     size_t n = std::min<size_t>(cases.size(), 3);
     for (size_t i = 0; i < n; i++) {
@@ -349,14 +296,10 @@ TEST(FastInterp, ExplorationParityBugsuite)
         xc.entry = cases[i].entry;
         xc.recovery = cases[i].entry;
         xc.stepStride = 8;
-        xc.vmEngine = vm::VmEngine::Tree;
-        auto tree = pmcheck::exploreCrashes(m.get(), xc);
-        xc.vmEngine = vm::VmEngine::Bytecode;
-        auto fast = pmcheck::exploreCrashes(m.get(), xc);
-        EXPECT_TRUE(tree == fast) << cases[i].id;
         expectFrozen("FastInterp.ExplorationParityBugsuite/" +
                          cases[i].id,
-                     explorationVerdict(tree), explorationVerdict(fast));
+                     explorationVerdict(
+                         pmcheck::exploreCrashes(m.get(), xc)));
     }
 }
 
@@ -371,21 +314,15 @@ TEST(FastInterp, GeneratedProgramParity)
                                  (unsigned long long)seed);
         vm::VmConfig vc;
         vc.traceEnabled = true;
-        auto tree = capture(m.get(), "main", {}, vm::VmEngine::Tree, vc);
-        auto fast =
-            capture(m.get(), "main", {}, vm::VmEngine::Bytecode, vc);
-        expectFrozen(key + "/run", tree.verdict, fast.verdict);
+        expectRunParity(key + "/run", m.get(), "main", {}, vc);
 
         pmcheck::CrashExplorerConfig xc;
         xc.entry = "main";
         xc.recovery = "main";
         xc.stepStride = 5;
-        xc.vmEngine = vm::VmEngine::Tree;
-        auto tree_x = pmcheck::exploreCrashes(m.get(), xc);
-        xc.vmEngine = vm::VmEngine::Bytecode;
-        auto fast_x = pmcheck::exploreCrashes(m.get(), xc);
-        expectFrozen(key + "/explore", explorationVerdict(tree_x),
-                     explorationVerdict(fast_x));
+        expectFrozen(key + "/explore",
+                     explorationVerdict(
+                         pmcheck::exploreCrashes(m.get(), xc)));
     }
 }
 
@@ -394,7 +331,6 @@ TEST(FastInterp, SuperinstructionsFuseAndDisableUnderTrace)
     auto append = buildAppendModule();
     pmem::PmPool pool(1u << 20);
     vm::VmConfig vc;
-    vc.engine = vm::VmEngine::Bytecode;
     vm::Vm machine(append.get(), &pool, vc);
     const vm::BcProgram &prog = machine.bytecode();
     EXPECT_TRUE(prog.options.enableSuper);

@@ -41,19 +41,17 @@ smallConfig(PmkvVariant v = PmkvVariant::FlushFree)
 
 /**
  * Run one fixed YCSB stream (Load, an A mix, an E slice) on a pmkv
- * module under @p engine and return what a reader can observe of
+ * module and return what a reader can observe of
  * the store: the kv_recover count, kv_handle_get of every key the
  * stream can reach, and the summed Scan hits.
  */
 std::vector<uint64_t>
-observedState(ir::Module *m, vm::VmEngine engine)
+observedState(ir::Module *m)
 {
     constexpr uint64_t records = 64;
     constexpr uint64_t scan_ops = 12;
     pmem::PmPool pool(32u << 20);
-    vm::VmConfig vc;
-    vc.engine = engine;
-    KvDriver driver(m, &pool, vc);
+    KvDriver driver(m, &pool);
     driver.init();
     driver.run(ycsb::Workload::Load, records, records, 1233);
     driver.run(ycsb::Workload::A, records, 64, 1234);
@@ -344,17 +342,12 @@ TEST(Pmkv, PerformanceOrderingMatchesFig4)
 TEST(Shard, EnginesAgreeOnTheRecoveredState)
 {
     auto m = buildPmkv(smallConfig(PmkvVariant::Manual));
-    auto tree = observedState(m.get(), vm::VmEngine::Tree);
-    auto fast = observedState(m.get(), vm::VmEngine::Bytecode);
-    EXPECT_GT(tree.front(), 0u) << "kv_recover found no entries";
-    EXPECT_GT(tree.back(), 0u) << "no Scan found a key";
-    EXPECT_EQ(tree, fast)
-        << "interpreters disagree on the logical store";
-    const char *key = "Shard.EnginesAgreeOnTheRecoveredState";
-    if (regenVerdicts())
-        writeVerdict(key, numbersVerdict(tree));
-    else
-        EXPECT_EQ(numbersVerdict(fast), frozenVerdict(key));
+    auto state = observedState(m.get());
+    EXPECT_GT(state.front(), 0u) << "kv_recover found no entries";
+    EXPECT_GT(state.back(), 0u) << "no Scan found a key";
+    EXPECT_EQ(numbersVerdict(state),
+              frozenVerdict("Shard.EnginesAgreeOnTheRecoveredState"))
+        << "the logical store differs from the tree walker's";
 }
 
 TEST(Shard, ExploreShardsIsConsistentAndShardCountInvariant)
@@ -380,7 +373,6 @@ TEST(Shard, ExploreShardsIsConsistentAndShardCountInvariant)
     xc.recovery = "kv_recover";
     xc.maxCrashes = 1u << 20;
     xc.poolBytes = 32u << 20;
-    xc.vmEngine = vm::VmEngine::Bytecode;
     // Independent explorations of one config, serial and fanned
     // out, must verify every crash point and agree on one digest.
     uint64_t ref = 0;

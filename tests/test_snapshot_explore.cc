@@ -599,7 +599,6 @@ TEST(SnapshotEngine, CompilesOncePerExploration)
     xc.entryArgs = {6};
     xc.recovery = "log_walk";
     xc.stepStride = 41;
-    xc.vmEngine = vm::VmEngine::Bytecode;
 
     auto compiles = [](ir::Module *m, const CrashExplorerConfig &cfg) {
         uint64_t before = vm::compileModuleCalls();
@@ -632,12 +631,7 @@ TEST(SnapshotEngine, CompilesOncePerExploration)
     rc.poolBytes = apps::raceKvPoolBytes;
     rc.schedules = 4;
     rc.jobs = 4;
-    rc.vmEngine = vm::VmEngine::Bytecode;
     EXPECT_EQ(compiles(race.get(), rc), 1u) << "interleavings";
-
-    // The tree walker compiles nothing.
-    xc.vmEngine = vm::VmEngine::Tree;
-    EXPECT_EQ(compiles(log.get(), xc), 0u) << "tree";
 }
 
 } // namespace hippo::test

@@ -226,37 +226,25 @@ TEST(Threads, FixThenReVerifyOverSameScheduleSetIsClean)
 TEST(Threads, DigestInvariantAcrossJobsEnginesAndShards)
 {
     // The acceptance gate: schedule set, CROSS forks, and recovery
-    // digests byte-identical across jobs {1,4} x engine
-    // {Tree,Bytecode}.
+    // digests byte-identical across jobs {1,4}, and equal to the
+    // tree walker's recorded exploration.
     ExplorationResult ref;
     bool have_ref = false;
     for (unsigned jobs : {1u, 4u}) {
-        for (auto engine : {vm::VmEngine::Tree,
-                            vm::VmEngine::Bytecode}) {
-            auto m = buildRaceKv();
-            CrashExplorerConfig cc = raceKvConfig();
-            cc.jobs = jobs;
-            cc.vmEngine = engine;
-            auto res = exploreCrashes(m.get(), cc);
-            const char *key =
-                "Threads.DigestInvariantAcrossJobsEnginesAndShards";
-            if (regenVerdicts()) {
-                if (!have_ref)
-                    writeVerdict(key, explorationVerdict(res));
-            } else {
-                EXPECT_EQ(explorationVerdict(res), frozenVerdict(key))
-                    << "jobs=" << jobs << " engine="
-                    << vm::vmEngineName(engine);
-            }
-            if (!have_ref) {
-                ref = res;
-                have_ref = true;
-                EXPECT_FALSE(ref.outcomes.empty());
-            } else {
-                EXPECT_EQ(res, ref)
-                    << "jobs=" << jobs << " engine="
-                    << vm::vmEngineName(engine);
-            }
+        auto m = buildRaceKv();
+        CrashExplorerConfig cc = raceKvConfig();
+        cc.jobs = jobs;
+        auto res = exploreCrashes(m.get(), cc);
+        EXPECT_EQ(explorationVerdict(res),
+                  frozenVerdict(
+                      "Threads.DigestInvariantAcrossJobsEnginesAndShards"))
+            << "jobs=" << jobs;
+        if (!have_ref) {
+            ref = res;
+            have_ref = true;
+            EXPECT_FALSE(ref.outcomes.empty());
+        } else {
+            EXPECT_EQ(res, ref) << "jobs=" << jobs;
         }
     }
 }
@@ -280,27 +268,16 @@ TEST(Threads, PreemptionExposedTrapDegradesToUnverified)
     const char *key = "Threads.PreemptionExposedTrapDegradesToUnverified";
 
     // Degradation is part of the deterministic result: same census
-    // and digest at every jobs setting and on both engines.
+    // and digest at every jobs setting, equal to the tree walker's
+    // recorded exploration.
     for (unsigned jobs : {1u, 4u}) {
-        for (auto engine : {vm::VmEngine::Tree,
-                            vm::VmEngine::Bytecode}) {
-            auto m2 = parse(kSchedTrap);
-            CrashExplorerConfig c2 = cc;
-            c2.jobs = jobs;
-            c2.vmEngine = engine;
-            auto r2 = exploreCrashes(m2.get(), c2);
-            EXPECT_EQ(r2, res)
-                << "jobs=" << jobs << " engine="
-                << vm::vmEngineName(engine);
-            if (regenVerdicts()) {
-                if (jobs == 1 && engine == vm::VmEngine::Tree)
-                    writeVerdict(key, explorationVerdict(r2));
-            } else {
-                EXPECT_EQ(explorationVerdict(r2), frozenVerdict(key))
-                    << "jobs=" << jobs << " engine="
-                    << vm::vmEngineName(engine);
-            }
-        }
+        auto m2 = parse(kSchedTrap);
+        CrashExplorerConfig c2 = cc;
+        c2.jobs = jobs;
+        auto r2 = exploreCrashes(m2.get(), c2);
+        EXPECT_EQ(r2, res) << "jobs=" << jobs;
+        EXPECT_EQ(explorationVerdict(r2), frozenVerdict(key))
+            << "jobs=" << jobs;
     }
 }
 

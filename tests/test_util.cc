@@ -1,10 +1,7 @@
 #include "test_util.hh"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "support/logging.hh"
 #include "support/random.hh"
@@ -395,11 +392,6 @@ namespace
 const char *const verdictPath =
     HIPPO_SOURCE_DIR "/tests/golden/tree_walker_verdicts.txt";
 
-const char *const verdictHeader =
-    "# Verdicts of the tree-walking PMIR interpreter, one section per\n"
-    "# check that compares it with the bytecode interpreter. Written\n"
-    "# with HIPPO_REGEN_GOLDEN=1; see DESIGN.md \"Bytecode fast path\".\n";
-
 /** The verdict file's sections by key. */
 std::map<std::string, std::string>
 readVerdicts()
@@ -427,24 +419,6 @@ frozenVerdict(const std::string &key)
         readVerdicts();
     auto it = sections.find(key);
     return it == sections.end() ? std::string() : it->second;
-}
-
-bool
-regenVerdicts()
-{
-    return std::getenv("HIPPO_REGEN_GOLDEN") != nullptr;
-}
-
-void
-writeVerdict(const std::string &key, const std::string &text)
-{
-    auto sections = readVerdicts();
-    sections[key] = text;
-    std::ofstream out(verdictPath);
-    hippo_assert(out.good(), "cannot write %s", verdictPath);
-    out << verdictHeader;
-    for (const auto &[k, v] : sections)
-        out << "== " << k << " ==\n" << v;
 }
 
 } // namespace hippo::test

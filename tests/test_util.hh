@@ -4,7 +4,7 @@
  * canned PMIR programs (including the paper's Listing 5/6 running
  * example), the seeded random PM program generator, a one-call
  * trace/detect/fix/re-check pipeline driver, and the text records
- * the tree-walking interpreter's verdicts are frozen in
+ * the tree-walking interpreter's verdicts were frozen in
  * (tests/golden/tree_walker_verdicts.txt).
  */
 
@@ -81,9 +81,10 @@ std::unique_ptr<ir::Module> generateProgram(uint64_t seed);
  * @name Frozen interpreter verdicts
  *
  * A verdict is a text record of everything a check compares about a
- * run or an exploration. The tree-walking interpreter's verdicts are
- * kept as named sections of tests/golden/tree_walker_verdicts.txt;
- * the bytecode interpreter must reproduce each one byte for byte.
+ * run or an exploration. The tree-walking interpreter, since removed,
+ * recorded its verdicts as named sections of
+ * tests/golden/tree_walker_verdicts.txt; the bytecode interpreter
+ * must reproduce each one byte for byte.
  */
 /// @{
 
@@ -107,13 +108,6 @@ uint64_t fnv1a64(const std::string &text);
 
 /** Section @p key of the verdict file; empty when it has none. */
 std::string frozenVerdict(const std::string &key);
-
-/** HIPPO_REGEN_GOLDEN is set: write verdicts instead of checking. */
-bool regenVerdicts();
-
-/** Replace (or add) section @p key of the verdict file. Sections
- *  from different binaries share the file, so regenerate serially. */
-void writeVerdict(const std::string &key, const std::string &text);
 /// @}
 
 } // namespace hippo::test

@@ -30,9 +30,6 @@
  *                                         #   execution (sandboxed)
  *   hippoc prog.pmir --recovery rec       # recovery entry for --chaos
  *                                         #   (default: the entry)
- *   hippoc prog.pmir --engine bytecode    # interpreter engine for
- *                                         #   every execution
- *                                         #   (tree|bytecode|auto)
  *
  * With several input modules the full pipeline runs once per module,
  * one worker per program (--jobs N workers; default: one per
@@ -42,7 +39,8 @@
  *   0  success — no bugs, or all bugs repaired and re-check clean
  *   1  durability bugs found (--check-only/--static-check) or remain
  *   2  usage error: bad command line
- *   3  input error: unreadable/malformed/invalid module, bad entry
+ *   3  input error: unreadable/malformed/invalid module, bad entry,
+ *      or a run that traps (division by zero, out-of-bounds access)
  *   4  resource error: pool exhausted, watchdog budget exceeded,
  *      output or stats file unwritable
  *   5  internal error: a caught invariant violation (tool bug)
@@ -91,7 +89,7 @@ usage(const char *argv0)
         "          [--stats OUT.json] [--jobs N] [-o OUT.pmir]\n"
         "          [--chaos SEED] [--torn-chance P]\n"
         "          [--step-budget N] [--time-budget MS]\n"
-        "          [--recovery NAME] [--engine tree|bytecode|auto]\n"
+        "          [--recovery NAME]\n"
         "          [--schedules N] [--preempt-bound N]\n",
         argv0);
     std::exit(2);
@@ -124,19 +122,17 @@ struct Options
     core::FixerConfig cfg;  ///< also carries faults + budgets
 };
 
-/** Watchdog VmConfig shared by the pipeline's own executions. */
+/** Watchdog VmConfig shared by the pipeline's own executions. Always
+ *  sandboxed, so a runtime trap (division by zero, an out-of-bounds
+ *  access) is an input error whether or not a budget is set. */
 vm::VmConfig
 watchdogVmConfig(const Options &opt)
 {
     vm::VmConfig vc;
-    vc.engine = opt.cfg.vmEngine;
-    if (opt.cfg.stepBudget || opt.cfg.heapBudget ||
-        opt.cfg.timeBudgetMs) {
-        vc.sandbox = true;
-        vc.stepBudget = opt.cfg.stepBudget;
-        vc.heapBudget = opt.cfg.heapBudget;
-        vc.timeBudgetMs = opt.cfg.timeBudgetMs;
-    }
+    vc.sandbox = true;
+    vc.stepBudget = opt.cfg.stepBudget;
+    vc.heapBudget = opt.cfg.heapBudget;
+    vc.timeBudgetMs = opt.cfg.timeBudgetMs;
     return vc;
 }
 
@@ -304,7 +300,6 @@ processModuleImpl(const std::string &input, const Options &opt,
         oc.stepBudget = opt.cfg.stepBudget;
         oc.heapBudget = opt.cfg.heapBudget;
         oc.timeBudgetMs = opt.cfg.timeBudgetMs;
-        oc.vmEngine = opt.cfg.vmEngine;
         auto outcome = core::optimizeAndVerify(m, oc);
         outcome.exportMetrics(metrics);
         if (outcome.reverted)
@@ -334,7 +329,6 @@ processModuleImpl(const std::string &input, const Options &opt,
         cc.stepBudget = opt.cfg.stepBudget;
         cc.heapBudget = opt.cfg.heapBudget;
         cc.timeBudgetMs = opt.cfg.timeBudgetMs;
-        cc.vmEngine = opt.cfg.vmEngine;
         cc.schedules = opt.schedules;
         cc.preemptBound = opt.preemptBound;
         auto res = pmcheck::exploreCrashes(m.get(), cc);
@@ -461,14 +455,6 @@ main(int argc, char **argv)
         } else if (arg == "--preempt-bound" && i + 1 < argc) {
             opt.preemptBound =
                 (uint32_t)std::strtoul(argv[++i], nullptr, 10);
-        } else if (arg == "--engine" && i + 1 < argc) {
-            if (!vm::parseVmEngine(argv[++i], opt.cfg.vmEngine)) {
-                std::fprintf(stderr,
-                             "hippoc: bad --engine '%s' (expected "
-                             "tree|bytecode|auto)\n",
-                             argv[i]);
-                return 2;
-            }
         } else if (arg[0] == '-') {
             usage(argv[0]);
         } else {
